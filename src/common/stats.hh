@@ -63,11 +63,15 @@ class Accumulator
 };
 
 /**
- * Log-linear histogram over non-negative 64-bit values.
+ * Log-linear histogram over non-negative 64-bit values, with a small
+ * fixed memory footprint -- the same scheme HdrHistogram uses.
  *
- * Each power-of-two decade is split into kSubBuckets linear buckets,
- * giving a bounded relative error on quantiles (< 1/kSubBuckets) with a
- * small fixed memory footprint -- the same scheme HdrHistogram uses.
+ * Values below kSubBuckets get one exact bucket each. Above that, each
+ * power-of-two decade is split into kSubBuckets / 2 linear buckets: the
+ * sub-bucket index keeps the value's leading bit, so it always lands in
+ * [16, 32). A quantile is reported as the lower bound of its bucket, so
+ * it underestimates the true value by a relative error below 1/16 (not
+ * 1/kSubBuckets).
  */
 class Histogram
 {
@@ -86,7 +90,8 @@ class Histogram
     double mean() const { return acc_.mean(); }
     double maxSeen() const { return acc_.max(); }
 
-    /** Value at quantile q in [0,1]; returns a bucket-representative. */
+    /** Value at quantile q in [0,1]: the lower bound of the bucket
+     *  holding it (see the class comment for the error bound). */
     std::uint64_t
     quantile(double q) const
     {

@@ -15,9 +15,6 @@ using txn::SquashReason;
 namespace
 {
 
-/** Bit position of the attempt epoch inside a lock-owner id. */
-constexpr unsigned kEpochShift = 48;
-
 /** Group request indices by home node, excluding @p local. */
 std::map<NodeId, std::vector<std::size_t>>
 groupRemote(const std::vector<NodeId> &homes, NodeId local)
@@ -30,35 +27,6 @@ groupRemote(const std::vector<NodeId> &homes, NodeId local)
 }
 
 } // namespace
-
-sim::Task
-BaselineEngine::run(ExecCtx ctx, const txn::TxnProgram &prog)
-{
-    const Tick start = sys_.kernel.now();
-    sys_.tracer.log(start, sim::TraceEvent::TxnStart, ctx.packed(),
-                    ctx.node);
-    std::uint32_t squash_count = 0;
-    for (;;) {
-        throwIfNodeDead(ctx);
-        st().attempts += 1;
-        bool committed = false;
-        co_await attempt(ctx, prog, committed);
-        if (committed)
-            break;
-        squash_count += 1;
-        co_await retryGate(ctx);
-        if (squash_count >= sys_.config.tuning.maxSquashesBeforeLockMode) {
-            st().lockModeFallbacks += 1;
-            co_await attemptPessimistic(ctx, prog);
-            break;
-        }
-        co_await sim::Delay{sys_.kernel, backoff(squash_count)};
-    }
-    st().committed += 1;
-    st().latency.add(std::uint64_t(sys_.kernel.now() - start));
-    sys_.tracer.log(sys_.kernel.now(), sim::TraceEvent::TxnCommit,
-                    ctx.packed(), ctx.node);
-}
 
 void
 BaselineEngine::releaseLocks(ExecCtx ctx, std::uint64_t self,
@@ -144,9 +112,8 @@ BaselineEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
     // touch the locks of attempt N+1, and so recovery's per-transaction
     // state never aliases across attempts. Fault-free the bare id is
     // used, as before.
-    std::uint64_t self = ctx.packed();
-    if (faultsOn() || recoveryOn())
-        self |= (nextEpoch(ctx) & 0x3fff) << kEpochShift;
+    const std::uint64_t self =
+        faultsOn() || recoveryOn() ? epochTaggedId(ctx) : ctx.packed();
     const std::uint64_t audit_id =
         sys_.audit ? sys_.audit->begin(self) : 0;
 
@@ -271,12 +238,7 @@ BaselineEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
         if (wit != write_set.end()) {
             co_await core.occupy(cycles(costs.setWalkCycles));
             if (req.isWrite) {
-                wit->value =
-                    req.derivedFromReadIdx >= 0
-                        ? read_vals[std::size_t(
-                              req.derivedFromReadIdx)] +
-                              req.delta
-                        : req.delta;
+                wit->value = writeValue(req, read_vals);
             } else {
                 read_vals.push_back(wit->value);
             }
@@ -311,11 +273,7 @@ BaselineEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
         }
 
         if (req.isWrite) {
-            std::int64_t value =
-                req.derivedFromReadIdx >= 0
-                    ? read_vals[std::size_t(req.derivedFromReadIdx)] +
-                          req.delta
-                    : req.delta;
+            const std::int64_t value = writeValue(req, read_vals);
             // Buffer the write in the Write Set (copy the payload).
             t0 = kernel.now();
             co_await core.occupy(
@@ -840,9 +798,8 @@ BaselineEngine::attemptPessimistic(ExecCtx ctx,
     auto &kernel = sys_.kernel;
     auto &core = coreOf(ctx);
     const auto &costs = sys_.config.costs;
-    std::uint64_t self = ctx.packed();
-    if (faultsOn() || recoveryOn())
-        self |= (nextEpoch(ctx) & 0x3fff) << kEpochShift;
+    const std::uint64_t self =
+        faultsOn() || recoveryOn() ? epochTaggedId(ctx) : ctx.packed();
     const std::uint64_t audit_id =
         sys_.audit ? sys_.audit->begin(self) : 0;
 
@@ -856,15 +813,7 @@ BaselineEngine::attemptPessimistic(ExecCtx ctx,
         attempts_[self] = ctrl;
     }
 
-    while (tokenBusy_) {
-        co_await sim::Delay{kernel, us(1)};
-        // Fail-stop: the pure-Delay wait has no occupy() to throw for
-        // us, so check for our own death explicitly.
-        if (sys_.network.nodeDead(ctx.node))
-            throw sim::NodeDead{};
-    }
-    tokenBusy_ = true;
-    tokenOwner_ = ctx.node;
+    co_await acquireToken(ctx);
 
     // Lock every data record the transaction touches, in record-id
     // order (deadlock-free), waiting rather than aborting. Index
@@ -952,11 +901,7 @@ BaselineEngine::attemptPessimistic(ExecCtx ctx,
                 });
         }
         if (req.isWrite) {
-            std::int64_t value =
-                req.derivedFromReadIdx >= 0
-                    ? read_vals[std::size_t(req.derivedFromReadIdx)] +
-                          req.delta
-                    : req.delta;
+            const std::int64_t value = writeValue(req, read_vals);
             if (recoveryOn()) {
                 buffered.push_back(
                     BufferedWrite{req.record, home, value});
@@ -1040,7 +985,7 @@ BaselineEngine::attemptPessimistic(ExecCtx ctx,
                          });
         }
     }
-    tokenBusy_ = false;
+    releaseToken();
     if (sys_.audit)
         sys_.audit->noteCommit(audit_id);
     if (ctrl) {

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "protocol/system.hh"
 #include "sim/task.hh"
@@ -97,12 +99,41 @@ class TxnEngine
     const char *name() const { return engineKindName(kind()); }
 
     /**
-     * Execute one transaction to commit, retrying on squashes. The
-     * coroutine completes when the transaction has committed (or, for
-     * repeatedly squashed transactions, committed via the pessimistic
-     * fallback).
+     * Execute one transaction to commit, retrying on squashes: after
+     * each squashed attempt the retry passes the admission retry gate
+     * and an exponential backoff, and once maxSquashesBeforeLockMode
+     * attempts were squashed the transaction commits through the
+     * pessimistic fallback. Completes when the transaction committed.
      */
-    virtual sim::Task run(ExecCtx ctx, const txn::TxnProgram &prog) = 0;
+    sim::Task
+    run(ExecCtx ctx, const txn::TxnProgram &prog)
+    {
+        const Tick start = sys_.kernel.now();
+        sys_.tracer.log(start, sim::TraceEvent::TxnStart, ctx.packed(),
+                        ctx.node);
+        std::uint32_t squash_count = 0;
+        for (;;) {
+            throwIfNodeDead(ctx);
+            st().attempts += 1;
+            bool committed = false;
+            co_await attempt(ctx, prog, committed);
+            if (committed)
+                break;
+            squash_count += 1;
+            co_await retryGate(ctx);
+            if (squash_count >=
+                sys_.config.tuning.maxSquashesBeforeLockMode) {
+                st().lockModeFallbacks += 1;
+                co_await attemptPessimistic(ctx, prog);
+                break;
+            }
+            co_await sim::Delay{sys_.kernel, backoff(squash_count)};
+        }
+        st().committed += 1;
+        st().latency.add(std::uint64_t(sys_.kernel.now() - start));
+        sys_.tracer.log(sys_.kernel.now(), sim::TraceEvent::TxnCommit,
+                        ctx.packed(), ctx.node);
+    }
 
     /**
      * In-memory footprint a record of @p payload_bytes needs under this
@@ -131,11 +162,23 @@ class TxnEngine
 
     /**
      * Crash-recovery hook: @p node was declared permanently dead by a
-     * view change. Engines release any cluster-wide resource the dead
-     * node may hold (e.g. the pessimistic-fallback token) so survivors
-     * make progress. Default: nothing to release.
+     * view change. Releases the pessimistic-fallback token if the dead
+     * node held it, so surviving fallback transactions make progress.
      */
-    virtual void onNodeDead(NodeId node) { (void)node; }
+    void
+    onNodeDead(NodeId node)
+    {
+        if (tokenBusy_ && tokenOwner_ == node)
+            tokenBusy_ = false;
+    }
+
+    /** Node holding the pessimistic-fallback token, if any. */
+    std::optional<NodeId>
+    tokenHolder() const
+    {
+        return tokenBusy_ ? std::optional<NodeId>(tokenOwner_)
+                          : std::nullopt;
+    }
 
     /** Record one admission-control shed of a would-be transaction at
      *  @p node (the driver calls this when admit() refuses; the
@@ -149,6 +192,16 @@ class TxnEngine
     }
 
   protected:
+    /** One optimistic attempt of @p prog; sets @p committed when it
+     *  committed, leaves it false when the attempt was squashed. */
+    virtual sim::Task attempt(ExecCtx ctx, const txn::TxnProgram &prog,
+                              bool &committed) = 0;
+
+    /** Lock-mode fallback after repeated squashes (Section VI); always
+     *  commits. Runs under the fallback token (see acquireToken). */
+    virtual sim::Task attemptPessimistic(ExecCtx ctx,
+                                         const txn::TxnProgram &prog) = 0;
+
     /** Core compute resource of a context. */
     sim::ComputeResource &
     coreOf(const ExecCtx &ctx)
@@ -498,7 +551,7 @@ class TxnEngine
             // instant the conflict is detected -- a dropped or delayed
             // Squash could otherwise cross with the victim's own
             // commit completion and let two mutually-conflicting
-            // transactions both commit (the model note in hades.hh).
+            // transactions both commit (the model note in hades_remote.hh).
             // The wire message is still charged for accounting.
             out = sys_.routerFor(victim).squash(sys_.kernel, victim,
                                                 why);
@@ -520,23 +573,72 @@ class TxnEngine
     /** Per-line streaming cost after the first line of a bulk access. */
     static constexpr std::int64_t kStreamCycles = 4;
 
-    /** Next attempt epoch of context @p ctx (attempt ids embed it so a
-     *  retry is distinguishable from its squashed predecessor). Stored
-     *  per node so the bookkeeping stays lane-local. */
+    /**
+     * Fresh attempt id of context @p ctx: its packed id tagged with the
+     * context's next attempt epoch, so a retry is distinguishable from
+     * its squashed predecessor (WrTX IDs, lock owners, staged replica
+     * images and journal entries never alias across attempts). Epochs
+     * are stored per node so the bookkeeping stays lane-local.
+     */
     std::uint64_t
-    nextEpoch(const ExecCtx &ctx)
+    epochTaggedId(const ExecCtx &ctx)
     {
-        return epochsByNode_[ctx.node][ctx.packed()]++;
+        const std::uint64_t epoch =
+            epochsByNode_[ctx.node][ctx.packed()]++ & 0x3fff;
+        return ctx.packed() | (epoch << kEpochShift);
+    }
+
+    /**
+     * Take the cluster-wide pessimistic-fallback token (Section VI),
+     * which serializes lock-mode transactions: running several at once
+     * creates lock convoys on skewed workloads. Polls every microsecond
+     * while another fallback holds it.
+     */
+    sim::Task
+    acquireToken(ExecCtx ctx)
+    {
+        while (tokenBusy_) {
+            co_await sim::Delay{sys_.kernel, us(1)};
+            // Fail-stop: the pure-Delay wait has no occupy() to throw
+            // for a dead node, and onNodeDead frees the token if its
+            // holder died.
+            if (sys_.network.nodeDead(ctx.node))
+                throw sim::NodeDead{};
+        }
+        tokenBusy_ = true;
+        tokenOwner_ = ctx.node;
+    }
+
+    void releaseToken() { tokenBusy_ = false; }
+
+    /** Value a write request stores: a delta, or the value read by an
+     *  earlier request of the program plus the delta. */
+    static std::int64_t
+    writeValue(const txn::Request &req,
+               const std::vector<std::int64_t> &read_vals)
+    {
+        return req.derivedFromReadIdx >= 0
+                   ? read_vals[std::size_t(req.derivedFromReadIdx)] +
+                         req.delta
+                   : req.delta;
     }
 
     System &sys_;
     /** Per-node stats buckets + control bucket (see st()). */
     std::vector<txn::EngineStats> statsByNode_;
-    /** Per-node attempt-epoch counters (see nextEpoch()). */
+    /** Per-node attempt-epoch counters (see epochTaggedId()). */
     std::vector<std::unordered_map<std::uint64_t, std::uint64_t>>
         epochsByNode_;
 
   private:
+    /** Bit position of the attempt epoch inside an attempt id. */
+    static constexpr unsigned kEpochShift = 48;
+
+    /** Pessimistic-fallback token, with its holder so recovery can
+     *  release it when the holder dies (see onNodeDead). */
+    bool tokenBusy_ = false;
+    NodeId tokenOwner_ = 0;
+
     /** In-flight reliablePost state, owned by the kernel closures. */
     // hades-analyze: lane-escape-ok (constructed only when faults are on -- fault-free reliablePost degenerates to a plain post -- and fault-injected traffic is hard-gated by Network::refuseIfThreaded)
     struct ReliableSend

@@ -14,22 +14,8 @@
  * least one remote access are detected lazily when the first transaction
  * commits (the committer squashes the other).
  *
- * Model notes (documented deviations):
- *  - Fault-free, squash notifications are real round trips delivered on
- *    the victim coordinator's lane (TxnEngine::squashVictim); the
- *    paper's narrow window where two mutually-conflicting commits could
- *    cross is closed by the outcome protocol -- a committer that finds
- *    its victim already uncommittable squashes itself instead, and
- *    abort cleanup is awaited before the next attempt epoch begins.
- *    With fault injection enabled (serial executors only) squashes act
- *    on the victim's control block at the instant a conflict is
- *    detected, as a dropped or delayed Squash could cross with the
- *    victim's own commit completion; the wire message is still charged
- *    for traffic accounting.
- *  - The Locking Buffer copy installed by a remote commit includes the
- *    Intend-to-commit address list in addition to RemoteWriteBF, so
- *    fully-written lines (which the paper deliberately keeps out of the
- *    write BF) are also protected during the commit window.
+ * The remote path (Module 4a/4b and the commit verbs) is shared with
+ * HADES-H; see HadesRemoteEngine.
  */
 
 #ifndef HADES_PROTOCOL_HADES_HH_
@@ -38,20 +24,17 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bloom/bloom_filter.hh"
 #include "bloom/split_write_bloom.hh"
-#include "protocol/engine.hh"
+#include "protocol/hades_remote.hh"
 
 namespace hades::protocol
 {
 
 /** Hardware-only HADES engine. */
-class HadesEngine : public TxnEngine
+class HadesEngine : public HadesRemoteEngine
 {
   public:
     HadesEngine(System &sys, std::uint32_t payload_bytes);
@@ -66,149 +49,43 @@ class HadesEngine : public TxnEngine
         return txn::RecordLayout{payload_bytes}.hwBytes();
     }
 
-    sim::Task run(ExecCtx ctx, const txn::TxnProgram &prog) override;
-
-    /** Release the pessimistic-fallback token if the dead node held
-     *  it, so surviving fallback transactions make progress. */
-    void
-    onNodeDead(NodeId node) override
-    {
-        if (tokenBusy_ && tokenOwner_ == node)
-            tokenBusy_ = false;
-    }
-
   private:
-    /** Live hardware state of one attempt. */
-    // hades-analyze: lane-escape-ok (coordinator-lane state: every mutable field is written either by the coordinator's own events or by ack/squash deliveries routed to the coordinator's lane through the window-barrier mailboxes; remote handlers read only immutable fields -- id, homeNode -- plus faultsOn()-gated flags that only matter on the serial executors)
-    struct Attempt
+    /** Live hardware state of one attempt: the remote path's state
+     *  plus the core filters of the local path (Module 3). */
+    struct Attempt : RemoteAttempt
     {
         Attempt(const ClusterConfig &cfg, std::uint64_t llc_sets)
             : localReadBf(cfg.coreReadBf.bits, cfg.coreReadBf.numHashes),
               localWriteBf(cfg.coreWriteBf, llc_sets)
         {}
 
-        AttemptControl ctrl;
         bloom::BloomFilter localReadBf;
         bloom::SplitWriteBloomFilter localWriteBf;
-        /** Module 1 Recorded RD/WR bits + locally-cached remote lines. */
-        std::unordered_set<Addr> recordedRd, recordedWr;
-        /** Buffered writes: record -> (home, value). Ordered: commit
-         *  iterates it and the order reaches message/write timing. */
-        std::map<std::uint64_t, std::pair<NodeId, std::int64_t>>
-            writeBuffer;
-        /** Remote nodes this attempt touched (Module 4b lower struct). */
-        std::set<NodeId> nodesInvolved;
-        /** Backup nodes holding staged replica updates (Section V-A). */
-        std::set<NodeId> replicaNodes;
-        std::uint32_t acksPending = 0;
-        /** Nodes whose commit Ack arrived (dedupes replayed Acks and
-         *  selects the targets of a timeout resend). */
-        std::set<NodeId> ackedBy;
-        /** Backups whose replica-staging Ack arrived. */
-        std::set<NodeId> replicaAckedBy;
-        /** Intend-to-commit address list per node, kept for resends. */
-        std::map<NodeId, std::vector<Addr>> itcLines;
-        /** Remote record values (and ground-truth versions) captured at
-         *  the home node when the RDMA fetch returns. Reads are served
-         *  from here, so the coordinator never touches another home's
-         *  ground-truth bucket (the store is lane-partitioned by home). */
-        std::map<std::uint64_t, std::pair<std::int64_t, std::uint64_t>>
-            remoteReadCache;
-        bool localDirLocked = false;
-        bool finished = false;
-        std::uint64_t id = 0; //!< packed gid | epoch (WrTX ID value)
-        std::uint64_t auditId = 0; //!< auditor observation (0 = off)
-        NodeId homeNode = 0;
     };
 
     using AttemptPtr = std::shared_ptr<Attempt>;
 
-    /** One optimistic attempt; sets @p committed. */
     sim::Task attempt(ExecCtx ctx, const txn::TxnProgram &prog,
-                      std::uint64_t id, bool &committed);
-
-    /** Pessimistic fallback after repeated squashes (Section VI). */
-    sim::Task attemptPessimistic(ExecCtx ctx,
-                                 const txn::TxnProgram &prog);
+                      bool &committed) override;
 
     /** Timed local read/write with eager L-L conflict detection. */
     sim::Task localAccess(ExecCtx ctx, AttemptPtr at, AddrRange range,
                           bool is_write);
 
-    /** Timed remote read/write (RDMA + NIC BF insertion at the home).
-     *  @p record identifies the fetched record so a read can cache its
-     *  value/version for the lane-local read path. */
-    sim::Task remoteAccess(ExecCtx ctx, AttemptPtr at, NodeId home,
-                           std::uint64_t record, AddrRange range,
-                           bool is_write);
-
     /** The commit sequence of Table II (both sides). */
     sim::Task commit(ExecCtx ctx, AttemptPtr at);
 
-    /** Process an Intend-to-commit at remote node @p y (NIC offload).
-     *  Runs as a coroutine on y's lane; every structure it touches --
-     *  y's Locking Buffer, y's NIC filters with their exact shadow
-     *  sets, y's local-transaction registry -- is owned by that lane.
-     *  NoBuffer retries are bounded: a capped number of rounds breaks
-     *  distributed waits-for cycles on exhausted banks (the committer
-     *  is squashed, releasing its own buffers). */
-    sim::Task handleIntendToCommit(NodeId y, AttemptPtr at,
-                                   std::vector<Addr> write_lines);
-
-    /** Fire-and-forget wrapper: runs handleIntendToCommit as a
-     *  detached coroutine from the message-delivery event, absorbing
-     *  the unwind exceptions (NodeDead, SerialRerunNeeded) that have
-     *  no coordinator frame to land in here. */
-    sim::DetachedTask spawnIntendToCommit(NodeId y, AttemptPtr at,
-                                          std::vector<Addr> write_lines);
-
-    /** Undo all speculative state of a squashed/finished attempt.
-     *  Fault-free the remote teardown is awaited (round trips), so the
-     *  next attempt epoch starts only after every involved node has
-     *  dropped this one's filters and locks. */
+    /** Undo all speculative state of a squashed/finished attempt. */
     sim::Task cleanupAborted(ExecCtx ctx, AttemptPtr at);
 
-    /** Send one commit Ack from @p y back to the committer (idempotent
-     *  at the receiver via Attempt::ackedBy). */
-    void postCommitAck(AttemptPtr at, NodeId y);
-
-    /**
-     * Faults-on only: timer chain that re-posts Intend-to-commit to
-     * nodes that have not Acked; after maxCommitResends rounds the
-     * committer squashes itself (CommitTimeout) and retries.
-     */
-    void armCommitResend(ExecCtx ctx, AttemptPtr at,
-                         std::uint32_t round);
-
-    /** Throw sim::NodeDead if the attempt's node crashed permanently
-     *  (fail-stop: the coroutine stack unwinds instead of executing
-     *  on), else Squashed if a squash request is pending. */
-    void
-    checkSquash(const AttemptPtr &at) const
-    {
-        if (sys_.network.nodeDead(at->homeNode))
-            throw sim::NodeDead{};
-        if (at->ctrl.squashRequested)
-            throw Squashed{at->ctrl.reason};
-    }
-
-    /** Probe one BF and account the check + false positives. */
-    bool probeFilter(const bloom::AddressFilter &bf, Addr line,
-                     bool truth);
+    /** Local transactions at @p y whose core filters cover @p line. */
+    void localVictims(NodeId y, std::uint64_t id, Addr line,
+                      std::vector<std::uint64_t> &victims) override;
 
     /** Registry of running local attempts, per node (Module 3 bank).
      *  Ordered: eager conflict scans iterate a node's registry and
      *  their enumeration order picks squash victims. */
     std::vector<std::map<std::uint64_t, AttemptPtr>> localTxns_;
-
-    /** Next per-context attempt epoch (keys WrTX IDs uniquely). */
-
-    /** Cluster-wide pessimistic-fallback token (Section VI), with its
-     *  holder so recovery can release it when the holder dies. */
-    bool tokenBusy_ = false;
-    NodeId tokenOwner_ = 0;
-
-    txn::RecordLayout layout_;
 };
 
 } // namespace hades::protocol

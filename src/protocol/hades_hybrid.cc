@@ -7,44 +7,8 @@
 namespace hades::protocol
 {
 
-using net::MsgType;
 using txn::Overhead;
 using txn::SquashReason;
-
-namespace
-{
-
-std::vector<Addr>
-linesOf(AddrRange range)
-{
-    std::vector<Addr> out;
-    for (Addr l = range.firstLine(); l <= range.lastLine();
-         l += kCacheLineBytes)
-        out.push_back(l);
-    return out;
-}
-
-constexpr unsigned kEpochShift = 48;
-
-} // namespace
-
-HadesHybridEngine::HadesHybridEngine(System &sys,
-                                     std::uint32_t payload_bytes)
-    : TxnEngine(sys), layout_(payload_bytes)
-{}
-
-bool
-HadesHybridEngine::probeFilter(const bloom::AddressFilter &bf, Addr line,
-                               bool truth)
-{
-    st().bfConflictChecks += 1;
-    bool hit = bf.mayContain(line);
-    if (hit && !truth)
-        st().bfFalsePositives += 1;
-    if (sys_.audit)
-        sys_.audit->noteFilterProbe(hit, truth, "hybrid-conflict-probe");
-    return hit;
-}
 
 std::vector<Addr>
 HadesHybridEngine::recordLines(std::uint64_t record) const
@@ -54,37 +18,6 @@ HadesHybridEngine::recordLines(std::uint64_t record) const
     for (std::uint32_t i = 0; i < layout_.swLines(); ++i)
         out.push_back(lineAddr(base) + Addr{i} * kCacheLineBytes);
     return out;
-}
-
-sim::Task
-HadesHybridEngine::run(ExecCtx ctx, const txn::TxnProgram &prog)
-{
-    const Tick start = sys_.kernel.now();
-    sys_.tracer.log(start, sim::TraceEvent::TxnStart, ctx.packed(),
-                    ctx.node);
-    std::uint32_t squash_count = 0;
-    for (;;) {
-        throwIfNodeDead(ctx);
-        st().attempts += 1;
-        std::uint64_t epoch = (nextEpoch(ctx) & 0x3fff);
-        std::uint64_t id = ctx.packed() | (epoch << kEpochShift);
-        bool committed = false;
-        co_await attempt(ctx, prog, id, committed);
-        if (committed)
-            break;
-        squash_count += 1;
-        co_await retryGate(ctx);
-        if (squash_count >= sys_.config.tuning.maxSquashesBeforeLockMode) {
-            st().lockModeFallbacks += 1;
-            co_await attemptPessimistic(ctx, prog);
-            break;
-        }
-        co_await sim::Delay{sys_.kernel, backoff(squash_count)};
-    }
-    st().committed += 1;
-    st().latency.add(std::uint64_t(sys_.kernel.now() - start));
-    sys_.tracer.log(sys_.kernel.now(), sim::TraceEvent::TxnCommit,
-                    ctx.packed(), ctx.node);
 }
 
 sim::Task
@@ -106,17 +39,13 @@ HadesHybridEngine::localAccess(ExecCtx ctx, AttemptPtr at,
     while (node.lockBank.accessBlocked(lineAddr(base), req.isWrite,
                                        at->id)) {
         co_await sim::Delay{kernel, cycles(sys_.config.llcCycles)};
-        checkSquash(at);
+        checkSquash(*at);
         always_assert(++stall_guard < 1000000,
                       "HADES-H local access stall did not resolve");
     }
 
     if (req.isWrite) {
-        std::int64_t value =
-            req.derivedFromReadIdx >= 0
-                ? read_vals[std::size_t(req.derivedFromReadIdx)] +
-                      req.delta
-                : req.delta;
+        const std::int64_t value = writeValue(req, read_vals);
         auto it = std::find_if(at->localWrites.begin(),
                                at->localWrites.end(),
                                [&](const LocalWriteEntry &w) {
@@ -186,128 +115,6 @@ HadesHybridEngine::localAccess(ExecCtx ctx, AttemptPtr at,
 }
 
 sim::Task
-HadesHybridEngine::remoteAccess(ExecCtx ctx, AttemptPtr at, NodeId home,
-                                std::uint64_t record, AddrRange range,
-                                bool is_write)
-{
-    auto &kernel = sys_.kernel;
-    auto &core = coreOf(ctx);
-    const auto lines = linesOf(range);
-
-    bool all_cached = true;
-    for (Addr line : lines) {
-        bool cached = is_write ? at->recordedWr.contains(line)
-                               : (at->recordedRd.contains(line) ||
-                                  at->recordedWr.contains(line));
-        all_cached &= cached;
-    }
-    if (all_cached) {
-        for (Addr line : lines)
-            co_await core.occupy(
-                sys_.node(ctx.node).memory.access(ctx.core, line)
-                    .latency);
-        co_return;
-    }
-
-    at->nodesInvolved.insert(home);
-    auto &nic4b = sys_.node(ctx.node).nic.localState(at->id);
-    nic4b.nodesInvolved.insert(home);
-
-    std::vector<Addr> filter_lines;
-    std::vector<Addr> fetch_lines;
-    if (is_write) {
-        for (Addr line : lines) {
-            bool full = line >= range.base &&
-                        line + kCacheLineBytes <= range.end();
-            if (!full) {
-                filter_lines.push_back(line);
-                fetch_lines.push_back(line);
-            }
-        }
-        nic4b.writesByNode[home].push_back(range);
-        nic4b.bufferedBytes += range.bytes;
-    } else {
-        filter_lines = lines;
-        fetch_lines = lines;
-    }
-
-    if (!fetch_lines.empty()) {
-        co_await core.occupy(cycles(sys_.config.costs.rdmaPostCycles));
-        // As in HADES: the response of a read fetch carries the
-        // record's committed value back. at_dst captures it (with its
-        // ground-truth version) into this frame at the home node --
-        // the only lane allowed to touch the home's NIC filters and
-        // ground-truth bucket -- and the caller installs it into the
-        // attempt's read cache below.
-        std::int64_t fetched_val = 0;
-        std::uint64_t fetched_ver = 0;
-        for (;;) {
-            bool blocked = false;
-            // Always acts on the home node's state: a hedge copy served
-            // by a backup is a wire duplicate, so the home's conflict
-            // tracking still sees every access (inserts idempotent).
-            auto at_dst = [&]() -> Tick {
-                auto &ynode = sys_.node(home);
-                for (Addr line : lines) {
-                    if (ynode.lockBank.accessBlocked(line, is_write,
-                                                     at->id)) {
-                        blocked = true;
-                        return sys_.cycles(20);
-                    }
-                }
-                auto &filters = ynode.nic.remoteFilters(at->id);
-                for (Addr line : filter_lines) {
-                    if (is_write)
-                        filters.insertWrite(line);
-                    else
-                        filters.insertRead(line);
-                }
-                if (!is_write) {
-                    fetched_val = sys_.data.read(record);
-                    fetched_ver = sys_.data.version(record);
-                }
-                Tick t = sys_.cycles(
-                    std::int64_t(sys_.config.crcHashCycles) *
-                    std::int64_t(filter_lines.size()));
-                for (Addr line : fetch_lines)
-                    t += ynode.memory.nicAccess(line).latency / 4;
-                return t;
-            };
-            const std::uint32_t resp_bytes =
-                std::uint32_t(fetch_lines.size()) * kCacheLineBytes;
-            net::HedgeSpec hedge;
-            if (!is_write && hedgeTarget(ctx, home, record, hedge)) {
-                co_await sys_.network.hedgedRoundTrip(
-                    MsgType::RdmaRead, ctx.node, home, hedge, 24,
-                    resp_bytes, at_dst);
-            } else {
-                co_await sys_.network.roundTrip(
-                    MsgType::RdmaRead, ctx.node, home, 24, resp_bytes,
-                    at_dst);
-            }
-            if (!blocked)
-                break;
-            co_await sim::Delay{kernel, ns(300)};
-            checkSquash(at);
-        }
-        if (!is_write)
-            at->remoteReadCache[record] = {fetched_val, fetched_ver};
-    }
-
-    for (Addr line : fetch_lines) {
-        sys_.node(ctx.node).memory.access(ctx.core, line);
-        if (is_write)
-            at->recordedWr.insert(line);
-        else
-            at->recordedRd.insert(line);
-    }
-    if (is_write) {
-        for (Addr line : lines)
-            at->recordedWr.insert(line);
-    }
-}
-
-sim::Task
 HadesHybridEngine::commit(ExecCtx ctx, AttemptPtr at)
 {
     auto &kernel = sys_.kernel;
@@ -339,7 +146,7 @@ HadesHybridEngine::commit(ExecCtx ctx, AttemptPtr at)
         co_await core.occupy(
             cycles(costs.rdmaPostCycles +
                    std::int64_t(sys_.config.crcHashCycles) * hashed));
-        checkSquash(at);
+        checkSquash(*at);
     }
     // The NIC-built filters must cover the exact local footprint.
     if (sys_.audit) {
@@ -352,177 +159,26 @@ HadesHybridEngine::commit(ExecCtx ctx, AttemptPtr at)
     }
 
     // --- Partially lock the local directory ---------------------------------
-    for (;;) {
-        auto acq = node.lockBank.tryAcquire(id, at->nicLocalReadBf,
-                                            at->nicLocalWriteBf,
-                                            local_write_lines);
-        if (acq == bloom::AcquireResult::Acquired) {
-            if (sys_.audit)
-                sys_.audit->noteLockAcquire(id);
-            break;
-        }
-        if (acq == bloom::AcquireResult::Conflict)
-            throw Squashed{SquashReason::LockFailure};
-        co_await sim::Delay{sys_.kernel, ns(200)};
-        checkSquash(at);
-    }
-    at->localDirLocked = true;
+    co_await lockLocalDirectory(ctx, at, at->nicLocalReadBf,
+                                at->nicLocalWriteBf, local_write_lines);
 
     // --- L-R conflicts: LocalWriteBF vs the NIC's remote filters -------------
-    // Snapshot the victims before squashing any: squashing a remote
-    // victim awaits a network round trip, and the NIC's remote-filter
-    // map mutates while this frame is suspended. The filters' exact
-    // shadow sets double as the probe ground truth -- both live at
-    // this node, on this lane.
-    std::vector<std::uint64_t> victims;
-    for (Addr line : local_write_lines) {
-        for (const auto &[k, filters] : node.nic.remote()) {
-            if (k == id)
-                continue;
-            bool hit = probeFilter(filters.readBf, line,
-                                   filters.readsContain(line)) ||
-                       probeFilter(filters.writeBf, line,
-                                   filters.writesContain(line));
-            if (hit)
-                victims.push_back(k);
-        }
-    }
-    std::sort(victims.begin(), victims.end());
-    victims.erase(std::unique(victims.begin(), victims.end()),
-                  victims.end());
-    for (std::uint64_t k : victims) {
-        auto outcome = SquashOutcome::NotFound;
-        co_await squashVictim(ctx.node, k, SquashReason::LazyConflict,
-                              outcome);
-        if (outcome == SquashOutcome::Uncommittable) {
-            // The victim is past its serialization point; the only
-            // safe resolution is to squash ourselves.
-            sys_.routerFor(id).squash(sys_.kernel, id,
-                                      SquashReason::LazyConflict);
-        }
-        checkSquash(at); // throws if we squashed ourselves above
-    }
-    co_await core.occupy(
-        cycles(2 * std::int64_t(local_write_lines.size()) + 10));
-    checkSquash(at);
+    co_await squashRemoteConflicts(ctx, at, local_write_lines);
 
     // --- Intend-to-commit to involved remote nodes ---------------------------
-    at->acksPending = std::uint32_t(at->nodesInvolved.size());
-    auto &nic4b = node.nic.localState(id);
-    for (NodeId y : at->nodesInvolved) {
-        std::vector<Addr> itc_lines;
-        auto wit = nic4b.writesByNode.find(y);
-        if (wit != nic4b.writesByNode.end()) {
-            for (const auto &range : wit->second)
-                for (Addr l : linesOf(range))
-                    itc_lines.push_back(l);
-            std::sort(itc_lines.begin(), itc_lines.end());
-            itc_lines.erase(
-                std::unique(itc_lines.begin(), itc_lines.end()),
-                itc_lines.end());
-        }
-        at->itcLines[y] = itc_lines; // kept for timeout resends
-        // hades-analyze: verb-reliability-ok (initial send; armCommitResend re-posts from itcLines until Ack or CommitTimeout squash)
-        sys_.network.post(
-            MsgType::IntendToCommit, ctx.node, y,
-            std::uint32_t(8 * itc_lines.size() + 16),
-            [this, y, at, itc_lines] {
-                spawnIntendToCommit(y, at, itc_lines);
-            });
-    }
-    // --- Section V-A: replica updates ride the two-phase commit -----------
-    // Same flow as HADES: each backup stages the update in temporary
-    // durable storage, persists it, and Acks; a lost update leaves the
-    // Ack count short and the deadline below aborts the transaction.
-    // Gated on the recovery subsystem: the hybrid engine had no
+    postIntendToCommit(ctx, at);
+    // Section V-A replica updates ride the two-phase commit as in HADES,
+    // gated on the recovery subsystem: the hybrid engine had no
     // replication before crash recovery existed, and keeping the extra
     // round trip out of recovery-off runs preserves their timing.
-    if (sys_.replicas && recoveryOn() &&
-        (!at->localWrites.empty() || !at->remoteWriteBuffer.empty())) {
-        std::map<NodeId,
-                 std::vector<std::pair<std::uint64_t, std::int64_t>>>
-            plan;
+    if (sys_.replicas && recoveryOn()) {
+        ReplicaPlan plan;
         for (const auto &w : at->localWrites)
             for (NodeId b : sys_.replicas->backupsOf(w.record, ctx.node))
                 plan[b].emplace_back(w.record, w.value);
-        for (const auto &[rec, hv] : at->remoteWriteBuffer)
-            for (NodeId b : sys_.replicas->backupsOf(rec, hv.first))
-                plan[b].emplace_back(rec, hv.second);
-        at->acksPending += std::uint32_t(plan.size());
-        const Tick persist = sys_.replicas->config().persistLatency();
-        // Replica acks are RTT observations too: without them the
-        // tracker is blind to a slow backup (hedge wins attribute the
-        // read samples to the fast replica) and replicaDeadline never
-        // inflates.
-        const Tick sentAt = sys_.kernel.now();
-        const NodeId obs = ctx.node;
-        auto ack = [this, at, sentAt, obs](NodeId b) {
-            if (sys_.slo)
-                sys_.slo->observe(obs, b, sys_.kernel.now() - sentAt);
-            if (at->finished || at->ctrl.squashRequested)
-                return;
-            if (!at->replicaAckedBy.insert(b).second)
-                return; // replayed staging Ack
-            if (at->acksPending > 0) {
-                at->acksPending -= 1;
-                if (at->acksPending == 0)
-                    at->ctrl.wake.notify(sys_.kernel);
-            }
-        };
-        for (auto &[b, updates] : plan) {
-            at->replicaNodes.insert(b);
-            if (sys_.replicas->injectLoss())
-                continue; // the update never arrives: no Ack
-            const std::uint64_t id_c = id;
-            auto payload = updates;
-            if (b == ctx.node) {
-                sys_.kernel.schedule(persist, [this, at, id_c, payload,
-                                               ack, b] {
-                    auto &store = sys_.replicas->store(b);
-                    for (const auto &[rec, val] : payload)
-                        store.stage(id_c, rec, val);
-                    ack(b);
-                });
-            } else {
-                NodeId x = ctx.node;
-                sys_.network.post(
-                    MsgType::RdmaWrite, ctx.node, b,
-                    std::uint32_t(payload.size() *
-                                  (layout_.payloadBytes() + 16)),
-                    [this, at, id_c, payload, ack, persist, b, x] {
-                        auto &store = sys_.replicas->store(b);
-                        for (const auto &[rec, val] : payload)
-                            store.stage(id_c, rec, val);
-                        sys_.kernel.schedule(persist, [this, at, ack,
-                                                       b, x] {
-                            sys_.network.post(MsgType::Ack, b, x, 16,
-                                              [ack, b] { ack(b); });
-                        });
-                    });
-            }
-        }
-        if (!plan.empty()) {
-            Tick deadline = replicaDeadline(
-                ctx, plan,
-                4 * sys_.config.netRoundTrip + 2 * persist + us(2),
-                &at->nodesInvolved);
-            sys_.kernel.schedule(deadline, [this, at] {
-                if (!at->finished && !at->ctrl.uncommittable &&
-                    at->acksPending > 0) {
-                    sys_.routerFor(at->id).squash(sys_.kernel, at->id,
-                                       SquashReason::ReplicaTimeout);
-                }
-            });
-        }
+        stageReplicas(ctx, at, std::move(plan));
     }
-
-    // Faults on: recover from lost Intend-to-commit/Ack messages.
-    if (faultsOn() && at->acksPending > 0)
-        armCommitResend(ctx, at, 0);
-
-    while (at->acksPending > 0 && !at->ctrl.squashRequested)
-        co_await at->ctrl.wake.wait();
-    checkSquash(at);
+    co_await awaitAcks(ctx, at);
 
     // --- Local Validation (software, Section V-D) ----------------------------
     {
@@ -556,55 +212,24 @@ HadesHybridEngine::commit(ExecCtx ctx, AttemptPtr at)
         }
         st().addOverhead(Overhead::ConflictDetection,
                            kernel.now() - t0);
-        checkSquash(at);
+        checkSquash(*at);
         if (failed)
             throw Squashed{SquashReason::ValidationFailure};
     }
 
     // Serialization point: the transaction can no longer fail. With
     // replication on, the commit decision record (sequence draw), the
-    // local ground-truth applies below and the staged-image promotions
-    // all land in this one resumption, so recovery observes either no
-    // decision or a fully recorded one.
+    // remote-write journal, the local ground-truth applies below and
+    // the staged-image promotions all land in this one resumption, so
+    // recovery observes either no decision or a fully recorded one. The
+    // Validation posts below run in a *later* resumption; the journal
+    // keeps a crash in between from losing them.
     at->ctrl.uncommittable = true;
-    std::uint64_t commit_seq = 0;
-    if (sys_.replicas) {
-        commit_seq = sys_.replicas->nextCommitSeq();
-        at->ctrl.commitSeq = commit_seq;
-        at->ctrl.decisionRecorded = true;
-        if (recoveryOn())
-            // hades-analyze: epoch-fence-ok (coordinator's own-attempt journal entry; stale deliveries are fenced by Network::advanceEpoch, and the in-doubt scan resolves entries by attempt id)
-            sys_.decisionLog[id] = commit_seq;
+    const std::uint64_t commit_seq = recordDecision(at);
+    if (sys_.replicas)
         for (const auto &w : at->localWrites)
             sys_.replicas->noteCommittedWrite(w.record, commit_seq);
-        for (const auto &[record, hv] : at->remoteWriteBuffer)
-            sys_.replicas->noteCommittedWrite(record, commit_seq);
-    }
-    // Journal the decided remote writes now, atomically with the
-    // decision record: the Validation posts below run in a *later*
-    // resumption, and a crash in between must not lose them.
-    if (recoveryOn()) {
-        for (const auto &[record, hv] : at->remoteWriteBuffer)
-            // hades-analyze: epoch-fence-ok (coordinator's own-attempt journal entry; stale deliveries are fenced by Network::advanceEpoch and replay is idempotent per record)
-            sys_.pendingApplies[{id, record}] =
-                PendingApply{hv.first, hv.second, at->auditId};
-    }
-    if (sys_.replicas && !at->replicaNodes.empty()) {
-        sys_.replicas->noteCommit();
-        for (NodeId b : at->replicaNodes) {
-            if (b == ctx.node) {
-                sys_.replicas->store(b).promote(id, commit_seq);
-            } else {
-                // promote() is idempotent and max-seq-wins absorbs
-                // reordered deliveries.
-                reliablePost(MsgType::Validation, ctx.node, b, 16,
-                             [this, b, id, commit_seq] {
-                                 sys_.replicas->store(b).promote(
-                                     id, commit_seq);
-                             });
-            }
-        }
-    }
+    promoteReplicas(ctx, at, commit_seq);
 
     // --- Apply local updates (atomic instant), then charge the time ----------
     {
@@ -626,43 +251,7 @@ HadesHybridEngine::commit(ExecCtx ctx, AttemptPtr at)
     }
 
     // --- Validation + updates to remote nodes --------------------------------
-    for (NodeId y : at->nodesInvolved) {
-        std::uint32_t bytes = 16;
-        std::vector<std::pair<std::uint64_t, std::int64_t>> updates;
-        for (const auto &[record, hv] : at->remoteWriteBuffer) {
-            if (hv.first == y) {
-                updates.emplace_back(record, hv.second);
-                bytes += layout_.payloadLines() * kCacheLineBytes;
-            }
-        }
-        const std::uint64_t aid = at->auditId;
-        reliablePost(
-            MsgType::Validation, ctx.node, y, bytes,
-            [this, y, id, aid, updates] {
-                auto &ynode = sys_.node(y);
-                // Replay guard: bumpVersion is NOT idempotent -- a
-                // duplicated Validation must not bump versions (or
-                // overwrite data) a second time after the first copy
-                // cleared the filters and released the locks.
-                if (faultsOn() && !ynode.nic.hasRemoteFilters(id))
-                    return;
-                for (const auto &[record, value] : updates) {
-                    std::uint64_t v = sys_.data.write(record, value);
-                    if (sys_.audit)
-                        sys_.audit->noteWrite(aid, record, v);
-                    // Bump the version so software Local Validations of
-                    // transactions at y that read this record fail.
-                    ynode.versions.bumpVersion(record);
-                    nicAccessLines(y, sys_.placement.addrOf(record),
-                                   layout_.payloadLines());
-                    if (recoveryOn())
-                        // hades-analyze: epoch-fence-ok (journal retirement keyed by attempt id; a view change that already replayed the entry makes this erase a no-op)
-                        sys_.pendingApplies.erase({id, record});
-                }
-                ynode.lockBank.release(id);
-                ynode.nic.clearRemoteFilters(id);
-            });
-    }
+    postValidations(ctx, at, /*bump_versions=*/true);
 
     // --- Unlock and clear ------------------------------------------------------
     co_await core.occupy(cycles(6));
@@ -670,263 +259,34 @@ HadesHybridEngine::commit(ExecCtx ctx, AttemptPtr at)
     at->localDirLocked = false;
 }
 
-sim::DetachedTask
-HadesHybridEngine::spawnIntendToCommit(NodeId y, AttemptPtr at,
-                                       std::vector<Addr> write_lines)
-{
-    try {
-        co_await handleIntendToCommit(y, at, std::move(write_lines));
-    } catch (const sim::NodeDead &) {
-        // Fail-stop unwind of the remote handler; recovery tears the
-        // dead node's state down, nothing to finish here.
-    } catch (const sim::SerialRerunNeeded &) {
-        // The rerun flag is already set; the run is being abandoned.
-    }
-}
-
-sim::Task
-HadesHybridEngine::handleIntendToCommit(NodeId y, AttemptPtr at,
-                                        std::vector<Addr> write_lines)
-{
-    auto &kernel = sys_.kernel;
-    auto &ynode = sys_.node(y);
-    const std::uint64_t id = at->id;
-
-    // Serial executors only: with faults on, a duplicated or resent
-    // delivery can arrive after the committer finished or was squashed
-    // (its cleanup messages take care of the state here). Fault-free
-    // there is exactly one delivery and it precedes any cleanup on
-    // this (src,dst) channel, so the coordinator-side flags need not
-    // -- and, under worker threads, must not -- be read on y's lane.
-    if (faultsOn() && (at->finished || at->ctrl.squashRequested))
-        co_return;
-
-    // Idempotency guard for duplicated/re-sent deliveries (both
-    // faults-only): the directory is already locked here, or the
-    // committer is already past its serialization point; just re-Ack.
-    // The held() probe is y-local and so runs unconditionally.
-    if (ynode.lockBank.held(id) ||
-        (faultsOn() && at->ctrl.uncommittable)) {
-        co_await sim::Delay{kernel, sys_.cycles(20)};
-        postCommitAck(at, y);
-        co_return;
-    }
-
-    for (int tries = 0;; ++tries) {
-        // Re-fetched each round: the map cell can be erased (and the
-        // reference invalidated) by a cleanup delivery while this
-        // frame sleeps between retries.
-        auto &filters = ynode.nic.remoteFilters(id);
-        if (sys_.audit) {
-            sys_.audit->checkFilterCovers(filters.readBf,
-                                          filters.readLines,
-                                          "hybrid-nic-read-bf");
-            sys_.audit->checkFilterCovers(filters.writeBf,
-                                          filters.writeLines,
-                                          "hybrid-nic-write-bf");
-        }
-        bloom::BloomFilter write_filter = filters.writeBf;
-        for (Addr line : write_lines)
-            write_filter.insert(line);
-        auto acq = ynode.lockBank.tryAcquire(id, filters.readBf,
-                                             write_filter, write_lines);
-        if (acq == bloom::AcquireResult::Acquired)
-            break;
-        if (acq == bloom::AcquireResult::Conflict ||
-            /* NoBuffer, out of retries: */ tries >= 64) {
-            auto outcome = SquashOutcome::NotFound;
-            co_await squashVictim(y, id, SquashReason::LockFailure,
-                                  outcome);
-            co_return;
-        }
-        co_await sim::Delay{kernel, ns(200)};
-        // The committer may have been squashed while we slept; its
-        // cleanup delivery then already dropped our filters and lock
-        // here, and re-acquiring would leak a Locking Buffer entry
-        // forever. The filters' presence is the y-local liveness
-        // signal (the first delivery materialized them above).
-        if (!ynode.nic.hasRemoteFilters(id))
-            co_return;
-        // A concurrently-delivered duplicate (faults-only) may have
-        // acquired for the committer while we slept: fall back to the
-        // idempotent re-ack instead of double-registering.
-        if (ynode.lockBank.held(id)) {
-            postCommitAck(at, y);
-            co_return;
-        }
-    }
-    if (sys_.audit)
-        sys_.audit->noteLockAcquire(id);
-
-    // Conflicts with other *remote* transactions only: local HADES-H
-    // transactions have no standing BFs; they self-detect during their
-    // own Local Validation ("y will return an Ack to i without checking
-    // for conflicts with local transactions"). Snapshot the victims
-    // before squashing any (remote squashes await round trips; y's NIC
-    // filter map mutates while this frame is suspended). Probe truth
-    // comes from the filters' exact shadow sets, owned by y's lane.
-    std::vector<std::uint64_t> victims;
-    for (Addr line : write_lines) {
-        for (const auto &[k, kf] : ynode.nic.remote()) {
-            if (k == id)
-                continue;
-            bool hit = probeFilter(kf.readBf, line,
-                                   kf.readsContain(line)) ||
-                       probeFilter(kf.writeBf, line,
-                                   kf.writesContain(line));
-            if (hit)
-                victims.push_back(k);
-        }
-    }
-    std::sort(victims.begin(), victims.end());
-    victims.erase(std::unique(victims.begin(), victims.end()),
-                  victims.end());
-    bool self_squashed = false;
-    for (std::uint64_t k : victims) {
-        auto outcome = SquashOutcome::NotFound;
-        co_await squashVictim(y, k, SquashReason::LazyConflict,
-                              outcome);
-        if (outcome == SquashOutcome::Uncommittable) {
-            // The victim is past its serialization point; the
-            // conservative ordering rule squashes the committer
-            // instead.
-            self_squashed = true;
-            break;
-        }
-    }
-    if (self_squashed) {
-        auto outcome = SquashOutcome::NotFound;
-        co_await squashVictim(y, id, SquashReason::LazyConflict,
-                              outcome);
-        ynode.lockBank.release(id);
-        co_return;
-    }
-
-    Tick work = sys_.cycles(20 + 2 * std::int64_t(write_lines.size()));
-    co_await sim::Delay{kernel, work};
-    postCommitAck(at, y);
-}
-
-void
-HadesHybridEngine::postCommitAck(AttemptPtr at, NodeId y)
-{
-    sys_.network.post(MsgType::Ack, y, at->homeNode, 16, [this, at, y] {
-        if (at->finished || at->ctrl.squashRequested)
-            return;
-        if (!at->ackedBy.insert(y).second)
-            return; // duplicated/re-sent Ack: already counted
-        if (at->acksPending > 0) {
-            at->acksPending -= 1;
-            if (at->acksPending == 0)
-                at->ctrl.wake.notify(sys_.kernel);
-        }
-    });
-}
-
-void
-HadesHybridEngine::armCommitResend(ExecCtx ctx, AttemptPtr at,
-                                   std::uint32_t round)
-{
-    sys_.kernel.schedule(resendTimeout(round), [this, ctx, at, round] {
-        if (at->finished || at->ctrl.uncommittable ||
-            at->ctrl.squashRequested || at->acksPending == 0)
-            return;
-        if (round >= sys_.config.tuning.maxCommitResends) {
-            sys_.routerFor(at->id).squash(sys_.kernel, at->id,
-                               SquashReason::CommitTimeout);
-            return;
-        }
-        for (NodeId y : at->nodesInvolved) {
-            if (at->ackedBy.contains(y))
-                continue;
-            st().timeoutResends += 1;
-            const std::vector<Addr> itc_lines = at->itcLines[y];
-            sys_.network.post(
-                MsgType::IntendToCommit, ctx.node, y,
-                std::uint32_t(8 * itc_lines.size() + 16),
-                [this, y, at, itc_lines] {
-                    spawnIntendToCommit(y, at, itc_lines);
-                });
-        }
-        armCommitResend(ctx, at, round + 1);
-    });
-}
-
 sim::Task
 HadesHybridEngine::cleanupAborted(ExecCtx ctx, AttemptPtr at)
 {
     auto &node = sys_.node(ctx.node);
-    const std::uint64_t id = at->id;
-
-    node.lockBank.release(id); // unconditional: also reclaims guards
+    node.lockBank.release(at->id); // unconditional: also reclaims guards
     at->localDirLocked = false;
-    node.nic.clearLocalState(id);
+    node.nic.clearLocalState(at->id);
 
-    // Abort message to replica nodes: drop staged images (V-A).
-    if (sys_.replicas && !at->replicaNodes.empty()) {
-        sys_.replicas->noteAbort();
-        for (NodeId b : at->replicaNodes) {
-            if (b == ctx.node) {
-                sys_.replicas->store(b).discard(id);
-            } else {
-                reliablePost(
-                    MsgType::Squash, ctx.node, b, 16,
-                    [this, b, id] {
-                        sys_.replicas->store(b).discard(id);
-                    });
-            }
-        }
-    }
-
-    // Drop this attempt's filters/locks at every involved node, each
-    // handler on its node's own lane. Fault-free the teardown is
-    // awaited round trips: the next attempt epoch must not start until
-    // every remote node processed the cleanup, or a stale
-    // Intend-to-commit retry could lock for this (dead) epoch after
-    // its successor began (lock-epoch monotonicity). With faults on it
-    // rides the reliable channel fire-and-forget -- a lost message
-    // must not stall the retry loop, and the serial-only
-    // coordinator-flag guards in handleIntendToCommit cover the
-    // stale-retry window; both handler operations are idempotent.
-    for (NodeId y : at->nodesInvolved) {
-        if (!faultsOn()) {
-            co_await sys_.network.roundTrip(
-                MsgType::Squash, ctx.node, y, 16, 16, [&]() -> Tick {
-                    sys_.node(y).lockBank.release(id);
-                    sys_.node(y).nic.clearRemoteFilters(id);
-                    return sys_.cycles(20);
-                });
-        } else {
-            reliablePost(MsgType::Squash, ctx.node, y, 16,
-                         [this, y, id] {
-                             sys_.node(y).lockBank.release(id);
-                             sys_.node(y).nic.clearRemoteFilters(id);
-                         });
-        }
-    }
+    discardReplicas(ctx, at);
+    co_await releaseRemote(ctx, at);
 }
 
 sim::Task
 HadesHybridEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
-                           std::uint64_t id, bool &committed)
+                           bool &committed)
 {
     auto &kernel = sys_.kernel;
     auto &core = coreOf(ctx);
 
     auto at = std::make_shared<Attempt>(sys_.config);
-    at->id = id;
-    at->homeNode = ctx.node;
-    sys_.routerFor(id).add(id, &at->ctrl);
+    beginAttempt(ctx, *at);
+    const std::uint64_t id = at->id;
     // The keep-alive registry only matters when recovery can observe
     // an attempt after a NodeDead unwind; registering unconditionally
     // would also mutate an engine-wide map from every coordinator lane
     // under the threaded executor (hades-analyze: lane-escape).
     if (recoveryOn())
         attempts_[id] = at;
-    if (sys_.audit) {
-        at->auditId = sys_.audit->begin(id);
-        at->ctrl.auditId = at->auditId;
-    }
 
     const Tick exec_start = kernel.now();
     Tick exec_end = exec_start;
@@ -936,11 +296,11 @@ HadesHybridEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
     try {
         std::vector<std::int64_t> read_vals;
         co_await core.occupy(cycles(prog.setupCycles));
-        checkSquash(at);
+        checkSquash(*at);
 
         for (const auto &req : prog.requests) {
             co_await core.occupy(cycles(prog.computeCyclesPerRequest));
-            checkSquash(at);
+            checkSquash(*at);
 
             const NodeId home = sys_.placement.homeOf(req.record);
             // Membership: publish the footprint so a migration batch
@@ -979,41 +339,14 @@ HadesHybridEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
                 co_await remoteAccess(ctx, at, home, req.record, range,
                                       req.isWrite);
                 if (req.isWrite) {
-                    std::int64_t value =
-                        req.derivedFromReadIdx >= 0
-                            ? read_vals[std::size_t(
-                                  req.derivedFromReadIdx)] +
-                                  req.delta
-                            : req.delta;
-                    at->remoteWriteBuffer[req.record] = {home, value};
+                    at->writeBuffer[req.record] = {
+                        home, writeValue(req, read_vals)};
                 } else if (!req.isIndex) {
-                    auto wit = at->remoteWriteBuffer.find(req.record);
-                    if (wit != at->remoteWriteBuffer.end()) {
-                        // Read-your-own-write: invisible to the audit.
-                        read_vals.push_back(wit->second.second);
-                    } else {
-                        // The value (and its ground-truth version)
-                        // traveled back with the RDMA fetch; reading
-                        // sys_.data here would touch the remote home's
-                        // bucket from this lane. A conflicting commit
-                        // between fetch and use squashes us via the
-                        // NIC read filter, so a committed attempt
-                        // never observes a stale cached value.
-                        auto cit =
-                            at->remoteReadCache.find(req.record);
-                        always_assert(
-                            cit != at->remoteReadCache.end(),
-                            "remote read missed the fetch cache");
-                        read_vals.push_back(cit->second.first);
-                        if (sys_.audit) {
-                            sys_.audit->noteRead(at->auditId,
-                                                 req.record,
-                                                 cit->second.second);
-                        }
-                    }
+                    read_vals.push_back(
+                        remoteReadValue(*at, req.record));
                 }
             }
-            checkSquash(at);
+            checkSquash(*at);
         }
         exec_end = kernel.now();
 
@@ -1025,71 +358,20 @@ HadesHybridEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
         co_await commit(ctx, at);
         ok = true;
     } catch (const Squashed &sq) {
-        // A recovery-resolved attempt was already cleaned up (and its
-        // audit fate decided) by the view change.
-        if (!at->ctrl.resolvedByRecovery) {
-            st().addSquash(at->ctrl.squashRequested ? at->ctrl.reason
-                                                      : sq.reason);
-            aborted = true; // awaited cleanup below (no co_await here)
-            if (sys_.audit)
-                sys_.audit->noteAbort(at->auditId);
-        }
+        aborted = noteSquash(*at, sq); // cleanup awaited below
     }
     if (aborted)
         co_await cleanupAborted(ctx, at);
 
-    at->finished = true;
-    at->ctrl.finished = true;
-    sys_.routerFor(id).remove(id);
+    retireAttempt(ctx, *at, ok, exec_start, exec_end);
     if (recoveryOn())
         attempts_.erase(id);
-
-    if (ok) {
-        sys_.node(ctx.node).nic.clearLocalState(id);
-        st().execPhase.add(double(exec_end - exec_start));
-        st().validationPhase.add(double(kernel.now() - exec_end));
-        committed = true;
-        if (sys_.audit)
-            sys_.audit->noteCommit(at->auditId);
-    }
+    committed = ok;
 
     // Per-attempt drain check of local hardware state (remote state
     // drains asynchronously; checked again at end of run).
-    if (sys_.audit) {
-        auto &n = sys_.node(ctx.node);
-        sys_.audit->noteDrained("locking-buffer", ctx.node,
-                                n.lockBank.held(id) ? 1 : 0);
-        sys_.audit->noteDrained("nic-local-state", ctx.node,
-                                n.nic.hasLocalState(id) ? 1 : 0);
-    }
-}
-
-sim::Task
-HadesHybridEngine::attemptPessimistic(ExecCtx ctx,
-                                      const txn::TxnProgram &prog)
-{
-    ensureSerialForLockMode();
-    while (tokenBusy_) {
-        co_await sim::Delay{sys_.kernel, us(1)};
-        // Fail-stop: a dead node must not spin here forever; onNodeDead
-        // frees the token if its holder died.
-        if (sys_.network.nodeDead(ctx.node))
-            throw sim::NodeDead{};
-    }
-    tokenBusy_ = true;
-    tokenOwner_ = ctx.node;
-    for (;;) {
-        throwIfNodeDead(ctx);
-        st().attempts += 1;
-        std::uint64_t epoch = (nextEpoch(ctx) & 0x3fff);
-        std::uint64_t id = ctx.packed() | (epoch << kEpochShift);
-        bool committed = false;
-        co_await attempt(ctx, prog, id, committed);
-        if (committed)
-            break;
-        co_await sim::Delay{sys_.kernel, backoff(4)};
-    }
-    tokenBusy_ = false;
+    if (sys_.audit)
+        auditDrained(ctx, id);
 }
 
 } // namespace hades::protocol

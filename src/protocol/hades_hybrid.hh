@@ -22,22 +22,21 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bloom/bloom_filter.hh"
-#include "protocol/engine.hh"
+#include "protocol/hades_remote.hh"
 
 namespace hades::protocol
 {
 
 /** Hybrid HW/SW engine (HADES-H). */
-class HadesHybridEngine : public TxnEngine
+class HadesHybridEngine : public HadesRemoteEngine
 {
   public:
-    HadesHybridEngine(System &sys, std::uint32_t payload_bytes);
+    HadesHybridEngine(System &sys, std::uint32_t payload_bytes)
+        : HadesRemoteEngine(sys, payload_bytes)
+    {}
 
     EngineKind kind() const override { return EngineKind::HadesHybrid; }
 
@@ -46,17 +45,6 @@ class HadesHybridEngine : public TxnEngine
     {
         // Local operations are software: records carry Figure 1 metadata.
         return txn::RecordLayout{payload_bytes}.swBytes();
-    }
-
-    sim::Task run(ExecCtx ctx, const txn::TxnProgram &prog) override;
-
-    /** Release the pessimistic-fallback token if the dead node held
-     *  it, so surviving fallback transactions make progress. */
-    void
-    onNodeDead(NodeId node) override
-    {
-        if (tokenBusy_ && tokenOwner_ == node)
-            tokenBusy_ = false;
     }
 
   private:
@@ -73,8 +61,9 @@ class HadesHybridEngine : public TxnEngine
         std::int64_t value;
     };
 
-    // hades-analyze: lane-escape-ok (coordinator-lane state: every mutable field is written either by the coordinator's own events or by ack/squash deliveries routed to the coordinator's lane through the window-barrier mailboxes; remote handlers read only immutable fields -- id, homeNode -- plus faultsOn()-gated flags that only matter on the serial executors)
-    struct Attempt
+    /** The remote path's state plus the software local path (record
+     *  granularity) and the NIC-built local filters of commit. */
+    struct Attempt : RemoteAttempt
     {
         explicit Attempt(const ClusterConfig &cfg)
             : nicLocalReadBf(cfg.nicReadBf.bits, cfg.nicReadBf.numHashes),
@@ -82,110 +71,28 @@ class HadesHybridEngine : public TxnEngine
                               cfg.nicWriteBf.numHashes)
         {}
 
-        AttemptControl ctrl;
-        // Software local path (record granularity).
         std::vector<LocalReadEntry> localReads;
         std::vector<LocalWriteEntry> localWrites;
-        // Hardware remote path (line granularity). The write buffer is
-        // ordered: commit iterates it into Validation payloads.
-        std::unordered_set<Addr> recordedRd, recordedWr;
-        std::map<std::uint64_t, std::pair<NodeId, std::int64_t>>
-            remoteWriteBuffer;
-        std::set<NodeId> nodesInvolved;
-        // NIC-built local filters, populated at commit time.
         bloom::BloomFilter nicLocalReadBf;
         bloom::BloomFilter nicLocalWriteBf;
-        std::unordered_set<Addr> localReadLinesExact;
-        std::unordered_set<Addr> localWriteLinesExact;
-        /** Backup nodes holding staged replica updates (Section V-A). */
-        std::set<NodeId> replicaNodes;
-        std::uint32_t acksPending = 0;
-        /** Nodes whose commit Ack arrived (dedupes replayed Acks and
-         *  selects the targets of a timeout resend). */
-        std::set<NodeId> ackedBy;
-        /** Backups whose replica-staging Ack arrived. */
-        std::set<NodeId> replicaAckedBy;
-        /** Intend-to-commit address list per node, kept for resends. */
-        std::map<NodeId, std::vector<Addr>> itcLines;
-        /** Remote record values (and ground-truth versions) captured at
-         *  the home node when the RDMA fetch returns. Reads are served
-         *  from here, so the coordinator never touches another home's
-         *  ground-truth bucket (the store is lane-partitioned by home). */
-        std::map<std::uint64_t, std::pair<std::int64_t, std::uint64_t>>
-            remoteReadCache;
-        bool localDirLocked = false;
-        bool finished = false;
-        std::uint64_t id = 0;
-        std::uint64_t auditId = 0; //!< auditor observation (0 = off)
-        NodeId homeNode = 0;
     };
 
     using AttemptPtr = std::shared_ptr<Attempt>;
 
     sim::Task attempt(ExecCtx ctx, const txn::TxnProgram &prog,
-                      std::uint64_t id, bool &committed);
-    sim::Task attemptPessimistic(ExecCtx ctx,
-                                 const txn::TxnProgram &prog);
+                      bool &committed) override;
 
     /** Software local read/write at record granularity (SW-Impl path). */
     sim::Task localAccess(ExecCtx ctx, AttemptPtr at,
                           const txn::Request &req,
                           std::vector<std::int64_t> &read_vals);
 
-    /** Hardware remote read/write (same behaviour as HADES).
-     *  @p record identifies the fetched record so a read can cache its
-     *  value/version for the lane-local read path. */
-    sim::Task remoteAccess(ExecCtx ctx, AttemptPtr at, NodeId home,
-                           std::uint64_t record, AddrRange range,
-                           bool is_write);
-
     /** Commit: NIC-built local BFs + HADES remote flow + Local
      *  Validation. */
     sim::Task commit(ExecCtx ctx, AttemptPtr at);
 
-    /** Process an Intend-to-commit at remote node @p y (NIC offload).
-     *  Runs as a coroutine on y's lane; everything it touches -- y's
-     *  Locking Buffer and y's NIC filters with their exact shadow sets
-     *  -- is owned by that lane. NoBuffer retries are bounded: a
-     *  capped number of rounds breaks distributed waits-for cycles on
-     *  exhausted banks. */
-    sim::Task handleIntendToCommit(NodeId y, AttemptPtr at,
-                                   std::vector<Addr> write_lines);
-
-    /** Fire-and-forget wrapper: runs handleIntendToCommit as a
-     *  detached coroutine from the message-delivery event, absorbing
-     *  the unwind exceptions (NodeDead, SerialRerunNeeded) that have
-     *  no coordinator frame to land in here. */
-    sim::DetachedTask spawnIntendToCommit(NodeId y, AttemptPtr at,
-                                          std::vector<Addr> write_lines);
-
-    /** Undo all speculative state of a squashed/finished attempt.
-     *  Fault-free the remote teardown is awaited (round trips), so the
-     *  next attempt epoch starts only after every involved node has
-     *  dropped this one's filters and locks. */
+    /** Undo all speculative state of a squashed/finished attempt. */
     sim::Task cleanupAborted(ExecCtx ctx, AttemptPtr at);
-
-    /** Send one commit Ack from @p y back to the committer (idempotent
-     *  at the receiver via Attempt::ackedBy). */
-    void postCommitAck(AttemptPtr at, NodeId y);
-
-    /** Faults-on only: Intend-to-commit resend chain (see HADES). */
-    void armCommitResend(ExecCtx ctx, AttemptPtr at,
-                         std::uint32_t round);
-
-    /** Throw sim::NodeDead if the attempt's node crashed permanently,
-     *  else Squashed if a squash request is pending. */
-    void
-    checkSquash(const AttemptPtr &at) const
-    {
-        if (sys_.network.nodeDead(at->homeNode))
-            throw sim::NodeDead{};
-        if (at->ctrl.squashRequested)
-            throw Squashed{at->ctrl.reason};
-    }
-
-    bool probeFilter(const bloom::AddressFilter &bf, Addr line,
-                     bool truth);
 
     /** All sw-layout cache lines of a record (header + payload). */
     std::vector<Addr> recordLines(std::uint64_t record) const;
@@ -196,10 +103,6 @@ class HadesHybridEngine : public TxnEngine
      *  valid control blocks. Ordered for deterministic enumeration. */
     // hades-analyze: lane-escape-ok (writes are recoveryOn()-gated; recovery specs never certify for threaded execution)
     std::map<std::uint64_t, AttemptPtr> attempts_;
-
-    bool tokenBusy_ = false;
-    NodeId tokenOwner_ = 0;
-    txn::RecordLayout layout_;
 };
 
 } // namespace hades::protocol

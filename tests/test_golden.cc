@@ -8,11 +8,18 @@
  * bit-for-bit. The matrix spans the three engines, two workloads, fault
  * injection on/off, and the correctness auditor on/off, so a
  * determinism regression in any of those layers trips this test.
+ *
+ * Golden.MatchesPinnedHashes additionally pins each spec's result hash
+ * to a literal constant, so a refactor that silently changes modelled
+ * results fails even though it is still self-consistent.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "core/result_hash.hh"
@@ -66,6 +73,121 @@ goldenSpecs()
         }
     }
     return specs;
+}
+
+/** The golden matrix plus rows for the paths the engines share: a
+ *  permanent crash with replication and recovery on (HADES remote path
+ *  and teardown under a view change), and an early lock-mode fallback
+ *  (the shared retry loop and fallback token) for every engine. */
+std::vector<core::RunSpec>
+pinnedSpecs()
+{
+    auto specs = goldenSpecs();
+    for (auto engine : {protocol::EngineKind::Hades,
+                        protocol::EngineKind::HadesHybrid}) {
+        core::RunSpec spec;
+        spec.engine = engine;
+        spec.mix = {{workload::AppKind::Smallbank,
+                     kvs::StoreKind::HashTable}};
+        spec.cluster.numNodes = 5;
+        spec.cluster.coresPerNode = 2;
+        spec.cluster.slotsPerCore = 2;
+        spec.cluster.tuning.retryTimeoutBase = us(4);
+        spec.cluster.tuning.retryTimeoutCap = us(32);
+        spec.cluster.tuning.maxCommitResends = 6;
+        spec.txnsPerContext = 8;
+        spec.scaleKeys = 4000;
+        spec.replication.degree = 2;
+        spec.cluster.faults.enabled = true;
+        FaultConfig::NodeEvent ev;
+        ev.node = 2;
+        ev.at = us(30);
+        ev.crash = true;
+        ev.forever = true;
+        spec.cluster.faults.nodeEvents.push_back(ev);
+        spec.cluster.recovery.enabled = true;
+        specs.push_back(spec);
+    }
+    for (auto engine : {protocol::EngineKind::Baseline,
+                        protocol::EngineKind::HadesHybrid,
+                        protocol::EngineKind::Hades}) {
+        core::RunSpec spec;
+        spec.engine = engine;
+        spec.mix = {{workload::AppKind::YcsbA,
+                     kvs::StoreKind::HashTable}};
+        spec.cluster.numNodes = 3;
+        spec.cluster.coresPerNode = 2;
+        spec.cluster.slotsPerCore = 2;
+        spec.cluster.tuning.maxSquashesBeforeLockMode = 2;
+        spec.txnsPerContext = 10;
+        spec.scaleKeys = 4000;
+        specs.push_back(spec);
+    }
+    return specs;
+}
+
+/** One line naming a pinned spec in a failure report. */
+std::string
+describe(const core::RunSpec &spec)
+{
+    return std::string(protocol::engineKindName(spec.engine)) +
+           " app=" + std::to_string(int(spec.mix[0].app)) +
+           " faults=" + std::to_string(spec.cluster.faults.enabled) +
+           " audit=" + std::to_string(spec.audit) +
+           " crash=" +
+           std::to_string(!spec.cluster.faults.nodeEvents.empty()) +
+           " lockModeAfter=" +
+           std::to_string(spec.cluster.tuning.maxSquashesBeforeLockMode);
+}
+
+/**
+ * hashResult() of each pinnedSpecs() row, in order. A change that keeps
+ * modelled results must leave every value unchanged; a change that
+ * alters them on purpose re-pins them and says which moved and why.
+ * The values assume IEEE-754 doubles compiled without -ffast-math and
+ * without FMA contraction (the default GCC/Clang x86-64 flags); a
+ * toolchain that fuses or reorders floating-point operations
+ * legitimately produces other hashes.
+ */
+constexpr std::uint64_t kPinnedHashes[] = {
+    0x6572d202e75fda88ULL, 0x07468d5549ec6cf6ULL,
+    0x59946842f9cd386bULL, 0x5023445b225dace2ULL,
+    0xde0d9852f87d231bULL, 0xb47982e0397060c1ULL,
+    0x4f665c3a12b0e1d2ULL, 0x109fed07fdd7f628ULL,
+    0xeab4d1aa848f9d0cULL, 0xc057e6419bcd1189ULL,
+    0x245b99b3964ed786ULL, 0xf818e7b69d64a75eULL,
+    0x0b3100d1d09f6e6cULL, 0x51ef013ae6af283dULL,
+    0x262b6e2d0b21ca56ULL, 0xd621698236482135ULL,
+    0x6618702952d3494dULL, 0xee2801af90234372ULL,
+    0xd61f36d5413ed4feULL, 0x41f48538b1610672ULL,
+    0xc2d8d40947795f62ULL, 0x368f53a9c2c05784ULL,
+    0xad7f3039e642bcf6ULL, 0x1488bf8cdff08820ULL,
+    // Permanent crash, replication degree 2, recovery on.
+    0xdda526e2a3f50ce7ULL, 0x99f19cfa7599964bULL,
+    // maxSquashesBeforeLockMode = 2.
+    0xb4a8ae63309d59ecULL, 0x813ba41b49126ae7ULL,
+    0xe6328eca2969adabULL,
+};
+
+TEST(Golden, MatchesPinnedHashes)
+{
+    const auto specs = pinnedSpecs();
+    ASSERT_EQ(specs.size(), std::size(kPinnedHashes));
+    std::string mismatches;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto got = hashResult(core::runOne(specs[i]));
+        if (got == kPinnedHashes[i])
+            continue;
+        char line[96];
+        std::snprintf(line, sizeof line, "got 0x%016llx, pinned 0x%016llx",
+                      static_cast<unsigned long long>(got),
+                      static_cast<unsigned long long>(kPinnedHashes[i]));
+        mismatches += "  spec " + std::to_string(i) + " (" +
+                      describe(specs[i]) + "): " + line + "\n";
+    }
+    EXPECT_TRUE(mismatches.empty())
+        << "result hashes differ from the pinned goldens:\n"
+        << mismatches;
 }
 
 TEST(Golden, SerialRerunIsBitIdentical)

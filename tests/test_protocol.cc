@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
 #include "core/runner.hh"
 #include "protocol/baseline.hh"
 #include "protocol/hades.hh"
@@ -320,6 +323,86 @@ TEST(AllEngines, PessimisticFallbackGuaranteesProgress)
         EXPECT_EQ(sys.data.read(1), contexts * 20) << engine->name();
         EXPECT_EQ(engine->stats().committed,
                   std::uint64_t(contexts) * 20u);
+    }
+}
+
+/** Run @p prog @p repeat times on @p ctx, counting commits in @p done;
+ *  a context whose node fail-stops unwinds quietly. */
+sim::DetachedTask
+runCounting(TxnEngine &engine, ExecCtx ctx, txn::TxnProgram prog,
+            int repeat, int &done)
+{
+    try {
+        for (int i = 0; i < repeat; ++i) {
+            co_await engine.run(ctx, prog);
+            ++done;
+        }
+    } catch (const sim::NodeDead &) {
+    }
+}
+
+TEST(AllEngines, DeadTokenHolderReleasesFallbackToken)
+{
+    constexpr int kRepeat = 20;
+    for (auto kind : {EngineKind::Baseline, EngineKind::Hades,
+                      EngineKind::HadesHybrid}) {
+        auto cfg = smallCluster(2);
+        cfg.tuning.maxSquashesBeforeLockMode = 1; // every squash falls back
+        System sys(cfg, 16,
+                   core::engineRecordBytes(kind,
+                                           cfg.recordPayloadBytes));
+        auto engine =
+            core::makeEngine(kind, sys, cfg.recordPayloadBytes);
+
+        // Each node's contexts increment a hot record homed on that
+        // node, so the fallback token is the only state they share.
+        auto increment = [&](NodeId n) {
+            txn::Request r;
+            r.record = recordHomedAt(sys, n);
+            txn::Request w = r;
+            w.isWrite = true;
+            w.derivedFromReadIdx = 0;
+            w.delta = 1;
+            txn::TxnProgram prog;
+            prog.requests = {r, w};
+            return prog;
+        };
+        int done0 = 0;
+        int done1 = 0;
+        for (CoreId c = 0; c < cfg.coresPerNode; ++c)
+            runCounting(*engine, ExecCtx{1, c, 0}, increment(1), kRepeat,
+                        done1);
+
+        // Fail-stop node 1 the first time it holds the token, the way
+        // a view change declares it dead, and only then start node 0,
+        // whose contexts must take the token after the dead holder.
+        bool killed = false;
+        std::uint64_t fallbacks_at_kill = 0;
+        std::function<void()> poll = [&] {
+            if (engine->tokenHolder() != std::optional<NodeId>(1)) {
+                sys.kernel.schedule(ns(10), [&poll] { poll(); });
+                return;
+            }
+            sys.network.markNodeDead(1);
+            for (auto &core : sys.node(1).cores)
+                core->freeze();
+            engine->onNodeDead(1);
+            killed = true;
+            fallbacks_at_kill = engine->stats().lockModeFallbacks;
+            for (CoreId c = 0; c < cfg.coresPerNode; ++c)
+                runCounting(*engine, ExecCtx{0, c, 0}, increment(0),
+                            kRepeat, done0);
+        };
+        sys.kernel.schedule(0, [&poll] { poll(); });
+
+        EXPECT_TRUE(sys.kernel.run(us(20'000)))
+            << engine->name() << ": survivors still waiting at the horizon";
+        ASSERT_TRUE(killed) << engine->name();
+        EXPECT_LT(done1, 2 * kRepeat) << engine->name();
+        EXPECT_EQ(done0, 2 * kRepeat) << engine->name();
+        EXPECT_GT(engine->stats().lockModeFallbacks, fallbacks_at_kill)
+            << engine->name() << ": node 0 never needed the token";
+        EXPECT_EQ(engine->tokenHolder(), std::nullopt) << engine->name();
     }
 }
 

@@ -426,10 +426,36 @@ def rule_lane_escape(index, supp):
         for c in f.classes:
             target_classes[c.name] = c
 
+    def resolve_base(spelling):
+        """The target class a base-specifier names, or None when it is
+        not a target class or the spelling is ambiguous."""
+        name = spelling.replace("struct ", "").replace("class ", "")
+        name = name.split("<")[0].strip()
+        cands = [c for c in target_classes
+                 if c == name or c.endswith("::" + name)]
+        return target_classes[cands[0]] if len(cands) == 1 else None
+
+    def class_annotation(ci, seen):
+        """Class-level justification of @p ci. A class derived from an
+        annotated class inherits its justification: the derived fields
+        live in the same object, reached through the same pointers."""
+        ok, just = supp.find(ci.file, ci.line, "lane-escape")
+        if ok:
+            return ok, just
+        for spelling in ci.bases:
+            base = resolve_base(spelling)
+            if base is None or base.name in seen:
+                continue
+            ok, just = class_annotation(base, seen | {ci.name})
+            if ok:
+                return ok, "inherited from %s: %s" % (
+                    base.name.split("::")[-1], just)
+        return False, ""
+
     inventory = {}
     for cname in sorted(target_classes):
         ci = target_classes[cname]
-        cls_supp, cls_just = supp.find(ci.file, ci.line, "lane-escape")
+        cls_supp, cls_just = class_annotation(ci, set())
         ent = {}
         for fld in ci.fields:
             if fld.is_static or fld.is_const:

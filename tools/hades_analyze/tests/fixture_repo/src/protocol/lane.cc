@@ -47,4 +47,16 @@ AnnotatedEngine::anyWrite()
     x_ += 1;
 }
 
+void
+DerivedAnnotated::derivedWrite()
+{
+    y_ += 1;
+}
+
+void
+DerivedPlain::derivedWrite()
+{
+    z_ += 1; // EXPECT: lane-escape
+}
+
 } // namespace fx::protocol

@@ -44,4 +44,21 @@ class AnnotatedEngine
     std::uint64_t x_ = 0;
 };
 
+// A class derived from a class-annotated base inherits the base's
+// justification: its fields live in the same object.
+struct DerivedAnnotated : AnnotatedEngine
+{
+    void derivedWrite();            // inherited marker: clean
+
+    std::uint64_t y_ = 0;
+};
+
+// A class derived from an unannotated base inherits nothing.
+struct DerivedPlain : Stats
+{
+    void derivedWrite();            // expect: lane-escape finding
+
+    std::uint64_t z_ = 0;
+};
+
 } // namespace fx::protocol
