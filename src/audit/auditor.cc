@@ -101,7 +101,7 @@ Auditor::checkFilterCovers(const bloom::AddressFilter &bf,
                            const std::unordered_set<Addr> &exact,
                            const char *site)
 {
-    // Order-insensitive membership sweep. det-lint: ordered-ok
+    // hades-analyze: unordered-iter-ok (order-insensitive sweep)
     for (Addr line : exact) {
         report_.filterProbesChecked += 1;
         if (!bf.mayContain(line)) {

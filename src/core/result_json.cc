@@ -1,7 +1,8 @@
 #include "core/result_json.hh"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "common/log.hh"
 
@@ -42,52 +43,69 @@ appendEscaped(std::string &out, const std::string &s)
     out += '"';
 }
 
+/** Appends `"name":`, preceded by a comma unless it opens an object. */
 void
-field(std::string &out, const char *name, std::uint64_t v, bool first = false)
+key(std::string &out, const char *name)
 {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRIu64,
-                  first ? "" : ",", name, v);
-    out += buf;
-}
-
-void
-fieldI(std::string &out, const char *name, std::int64_t v)
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), ",\"%s\":%" PRId64, name, v);
-    out += buf;
-}
-
-void
-fieldD(std::string &out, const char *name, double v)
-{
-    // %.17g round-trips IEEE doubles, so "bit-identical results" is a
-    // claim consumers can check on the JSON alone.
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), ",\"%s\":%.17g", name, v);
-    out += buf;
-}
-
-void
-fieldS(std::string &out, const char *name, const std::string &v,
-       bool first = false)
-{
-    if (!first)
+    if (out.back() != '{')
         out += ',';
     out += '"';
     out += name;
     out += "\":";
+}
+
+void
+value(std::string &out, std::uint64_t v)
+{
+    out += std::to_string(v);
+}
+
+void
+value(std::string &out, std::uint32_t v)
+{
+    value(out, std::uint64_t(v));
+}
+
+void
+value(std::string &out, std::int64_t v)
+{
+    out += std::to_string(v);
+}
+
+void
+value(std::string &out, bool v)
+{
+    out += v ? "true" : "false";
+}
+
+void
+value(std::string &out, double v)
+{
+    // %.17g round-trips IEEE doubles, so "bit-identical results" is a
+    // claim consumers can check on the JSON alone.
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out += buf;
+}
+
+void
+value(std::string &out, const std::string &v)
+{
     appendEscaped(out, v);
 }
 
 void
-fieldB(std::string &out, const char *name, bool v)
+value(std::string &out, const char *v)
 {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    out += v ? "true" : "false";
+    appendEscaped(out, v);
+}
+
+template <class T>
+void
+field(std::string &out, const char *name, const T &v)
+{
+    key(out, name);
+    value(out, v);
 }
 
 } // namespace
@@ -97,14 +115,14 @@ runSpecJson(const RunSpec &spec)
 {
     const ClusterConfig &cc = spec.cluster;
     std::string out = "{";
-    fieldS(out, "engine", protocol::engineKindName(spec.engine), true);
+    field(out, "engine", protocol::engineKindName(spec.engine));
     out += ",\"mix\":[";
     for (std::size_t i = 0; i < spec.mix.size(); ++i) {
         if (i)
             out += ',';
         std::string e = "{";
-        fieldS(e, "app", workload::appKindName(spec.mix[i].app), true);
-        fieldS(e, "store", kvs::storeKindName(spec.mix[i].store));
+        field(e, "app", workload::appKindName(spec.mix[i].app));
+        field(e, "store", kvs::storeKindName(spec.mix[i].store));
         e += '}';
         out += e;
     }
@@ -115,47 +133,43 @@ runSpecJson(const RunSpec &spec)
     field(out, "cores_per_node", cc.coresPerNode);
     field(out, "slots_per_core", cc.slotsPerCore);
     field(out, "seed", cc.seed);
-    fieldI(out, "net_round_trip_ps", cc.netRoundTrip);
-    fieldD(out, "forced_local_fraction", cc.forcedLocalFraction);
+    field(out, "net_round_trip_ps", cc.netRoundTrip);
+    field(out, "forced_local_fraction", cc.forcedLocalFraction);
     field(out, "record_payload_bytes", cc.recordPayloadBytes);
     field(out, "replication_degree", spec.replication.degree);
-    fieldB(out, "faults_enabled", cc.faults.enabled);
-    fieldB(out, "recovery_enabled", cc.recovery.enabled);
+    field(out, "faults_enabled", cc.faults.enabled);
+    field(out, "recovery_enabled", cc.recovery.enabled);
     field(out, "grey_events", cc.faults.greyEvents.size());
-    fieldB(out, "slo_enabled", cc.slo.enabled);
+    field(out, "slo_enabled", cc.slo.enabled);
     if (cc.slo.enabled) {
-        fieldB(out, "slo_hedge_reads", cc.slo.hedgeReads);
-        fieldB(out, "slo_quarantine", cc.slo.quarantine);
+        field(out, "slo_hedge_reads", cc.slo.hedgeReads);
+        field(out, "slo_quarantine", cc.slo.quarantine);
     }
-    fieldB(out, "admission_enabled", cc.admission.enabled);
+    field(out, "admission_enabled", cc.admission.enabled);
     if (cc.membership.enabled()) {
         field(out, "initial_members",
               cc.membership.initialOwners(cc.numNodes));
         field(out, "migrate_batch_records",
               cc.membership.migrateBatchRecords);
-        fieldI(out, "migrate_batch_interval_ps",
-               cc.membership.migrateBatchInterval);
-        out += ",\"joins\":[";
-        for (std::size_t i = 0; i < cc.membership.joins.size(); ++i) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf),
-                          "%s{\"node\":%u,\"at_ps\":%" PRId64 "}",
-                          i ? "," : "", cc.membership.joins[i].node,
-                          std::int64_t(cc.membership.joins[i].at));
-            out += buf;
-        }
-        out += "],\"drains\":[";
-        for (std::size_t i = 0; i < cc.membership.drains.size(); ++i) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf),
-                          "%s{\"node\":%u,\"at_ps\":%" PRId64 "}",
-                          i ? "," : "", cc.membership.drains[i].node,
-                          std::int64_t(cc.membership.drains[i].at));
-            out += buf;
-        }
-        out += ']';
+        field(out, "migrate_batch_interval_ps",
+              cc.membership.migrateBatchInterval);
+        auto events = [&](const char *name, const auto &list) {
+            key(out, name);
+            out += '[';
+            for (const auto &ev : list) {
+                if (out.back() != '[')
+                    out += ',';
+                out += '{';
+                field(out, "node", ev.node);
+                field(out, "at_ps", ev.at);
+                out += '}';
+            }
+            out += ']';
+        };
+        events("joins", cc.membership.joins);
+        events("drains", cc.membership.drains);
     }
-    fieldB(out, "audit", spec.audit);
+    field(out, "audit", spec.audit);
     field(out, "shards", spec.shards);
     out += '}';
     return out;
@@ -166,116 +180,95 @@ runResultJson(const RunResult &res)
 {
     const txn::EngineStats &st = res.stats;
     std::string out = "{";
-    fieldS(out, "label", res.label, true);
-    fieldI(out, "sim_time_ps", res.simTime);
-    fieldD(out, "throughput_tps", res.throughputTps);
-    fieldD(out, "mean_latency_us", res.meanLatencyUs);
-    fieldD(out, "p50_latency_us", res.p50LatencyUs);
-    fieldD(out, "p95_latency_us", res.p95LatencyUs);
-    fieldD(out, "exec_us", res.execUs);
-    fieldD(out, "validation_us", res.validationUs);
-    fieldD(out, "commit_us", res.commitUs);
-    out += ",\"overhead_share\":[";
-    for (std::size_t i = 0; i < res.overheadShare.size(); ++i) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%s%.17g", i ? "," : "",
-                      res.overheadShare[i]);
-        out += buf;
-    }
-    out += ']';
-    fieldD(out, "other_share", res.otherShare);
-    fieldD(out, "squash_rate", res.squashRate);
-    fieldD(out, "eviction_squash_rate", res.evictionSquashRate);
-    fieldD(out, "bf_false_positive_rate", res.bfFalsePositiveRate);
-    field(out, "replicated_commits", res.replicatedCommits);
-    field(out, "replication_aborts", res.replicationAborts);
-    field(out, "lost_replica_messages", res.lostReplicaMessages);
-    field(out, "fault_drops", res.faultDrops);
-    field(out, "fault_duplicates", res.faultDuplicates);
-    field(out, "fault_delays", res.faultDelays);
-    field(out, "fault_nic_stalls", res.faultNicStalls);
-    field(out, "fault_crash_drops", res.faultCrashDrops);
-    field(out, "partition_drops", res.partitionDrops);
-    field(out, "partition_heals", res.partitionHeals);
-    field(out, "corrupt_drops", res.corruptDrops);
-    field(out, "net_retransmits", res.netRetransmits);
-    field(out, "timeout_resends", res.timeoutResends);
-    field(out, "reliable_resends", res.reliableResends);
-    field(out, "timeout_squashes", res.timeoutSquashes);
-    fieldB(out, "recovery_enabled", res.recoveryEnabled);
-    field(out, "lease_probes", res.leaseProbes);
-    field(out, "view_changes", res.viewChanges);
-    field(out, "promoted_records", res.promotedRecords);
-    field(out, "indoubt_committed", res.inDoubtCommitted);
-    field(out, "indoubt_aborted", res.inDoubtAborted);
-    field(out, "replayed_writes", res.replayedWrites);
-    field(out, "resynced_images", res.resyncedImages);
-    field(out, "fenced_stale_messages", res.fencedStaleMessages);
-    field(out, "cm_failovers", res.cmFailovers);
-    field(out, "quorum_refusals", res.quorumRefusals);
-    field(out, "stale_lease_grants", res.staleLeaseGrants);
-    field(out, "divergent_records", res.divergentRecords);
-    field(out, "grey_delays", res.greyDelays);
-    field(out, "straggler_reserves", res.stragglerReserves);
-    field(out, "slo_samples", res.sloSamples);
-    field(out, "slo_suspect_transitions", res.sloSuspectTransitions);
-    field(out, "slo_degraded_transitions", res.sloDegradedTransitions);
-    field(out, "hedged_sends", res.hedgedSends);
-    field(out, "hedge_wins", res.hedgeWins);
-    field(out, "admitted_txns", res.admittedTxns);
-    field(out, "shed_txns", res.shedTxns);
-    field(out, "retry_budget_deferrals", res.retryBudgetDeferrals);
-    field(out, "quarantines", res.quarantines);
-    fieldB(out, "membership_enabled", res.membershipEnabled);
-    fieldB(out, "membership_complete", res.membershipComplete);
-    field(out, "records_migrated", res.recordsMigrated);
-    field(out, "migration_batches", res.migrationBatches);
-    field(out, "drain_duration_events", res.drainDurationEvents);
-    field(out, "joins_completed", res.joinsCompleted);
-    field(out, "stale_placement_retries", res.stalePlacementRetries);
-    fieldB(out, "audited", res.audited);
-    field(out, "audited_commits", res.auditedCommits);
-    field(out, "audited_aborts", res.auditedAborts);
-    field(out, "audit_graph_edges", res.auditGraphEdges);
-    field(out, "audit_checks", res.auditChecks);
-    field(out, "shards_used", res.shardsUsed);
-    fieldB(out, "shards_threaded", res.shardsThreaded);
-    field(out, "shard_windows", res.shardWindows);
-    field(out, "cross_shard_events", res.crossShardEvents);
-    fieldB(out, "serial_rerun", res.serialRerun);
+    field(out, "label", res.label);
+    std::string stats = "{";
+    forEachCounter(
+        res,
+        [&](const CounterInfo &c, auto v) {
+            field(c.inStats() ? stats : out, c.key, v);
+        },
+        [&](CounterSlot slot) {
+            switch (slot) {
+              case CounterSlot::StatsArrays:
+                key(stats, "squashes");
+                stats += '{';
+                for (std::size_t i = 0; i < st.squashes.size(); ++i)
+                    field(stats,
+                          txn::squashReasonName(txn::SquashReason(i)),
+                          st.squashes[i]);
+                stats += '}';
+                field(stats, "latency_count", st.latency.count());
+                field(stats, "latency_mean_ps", st.latency.mean());
+                field(stats, "latency_p50_ps", st.latency.p50());
+                field(stats, "latency_p95_ps", st.latency.p95());
+                field(stats, "latency_p99_ps", st.latency.p99());
+                break;
+              case CounterSlot::Derived:
+                field(out, "throughput_tps", res.throughputTps);
+                field(out, "mean_latency_us", res.meanLatencyUs);
+                field(out, "p50_latency_us", res.p50LatencyUs);
+                field(out, "p95_latency_us", res.p95LatencyUs);
+                field(out, "exec_us", res.execUs);
+                field(out, "validation_us", res.validationUs);
+                field(out, "commit_us", res.commitUs);
+                key(out, "overhead_share");
+                out += '[';
+                for (std::size_t i = 0; i < res.overheadShare.size(); ++i) {
+                    if (i)
+                        out += ',';
+                    value(out, res.overheadShare[i]);
+                }
+                out += ']';
+                field(out, "other_share", res.otherShare);
+                field(out, "squash_rate", res.squashRate);
+                field(out, "eviction_squash_rate", res.evictionSquashRate);
+                field(out, "bf_false_positive_rate",
+                      res.bfFalsePositiveRate);
+                break;
+              case CounterSlot::Retired:
+                break;
+            }
+        });
+    out += ",\"stats\":" + stats + "}}";
+    return out;
+}
 
-    out += ",\"stats\":{";
-    field(out, "committed", st.committed, true);
-    field(out, "attempts", st.attempts);
-    field(out, "lock_mode_fallbacks", st.lockModeFallbacks);
-    out += ",\"squashes\":{";
-    for (std::size_t i = 0; i < st.squashes.size(); ++i) {
-        std::string name =
-            txn::squashReasonName(txn::SquashReason(i));
-        if (i)
-            out += ',';
-        appendEscaped(out, name);
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), ":%" PRIu64, st.squashes[i]);
-        out += buf;
+std::string
+counterSummary(const RunResult &res)
+{
+    struct Line
+    {
+        std::string_view group;
+        std::string text;
+        bool nonzero = false;
+    };
+    std::vector<Line> lines; // in order of first appearance
+    forEachCounter(
+        res,
+        [&](const CounterInfo &c, auto v) {
+            if (!c.group)
+                return;
+            auto it = std::find_if(lines.begin(), lines.end(),
+                                   [&](const Line &l) {
+                                       return l.group == c.group;
+                                   });
+            if (it == lines.end())
+                it = lines.insert(lines.end(), Line{c.group, {}});
+            it->text += ' ';
+            it->text += c.key;
+            it->text += '=';
+            value(it->text, v);
+            it->nonzero = it->nonzero || v;
+        },
+        [](CounterSlot) {});
+    std::string out;
+    for (const Line &l : lines) {
+        if (!l.nonzero)
+            continue;
+        char label[16];
+        std::snprintf(label, sizeof(label), "%-13s", l.group.data());
+        out += label + l.text + '\n';
     }
-    out += '}';
-    field(out, "latency_count", st.latency.count());
-    fieldD(out, "latency_mean_ps", st.latency.mean());
-    field(out, "latency_p50_ps", st.latency.p50());
-    field(out, "latency_p95_ps", st.latency.p95());
-    field(out, "latency_p99_ps", st.latency.p99());
-    fieldI(out, "total_busy_ticks", st.totalBusyTicks);
-    field(out, "bf_conflict_checks", st.bfConflictChecks);
-    field(out, "bf_false_positives", st.bfFalsePositives);
-    field(out, "max_lines_read", st.maxLinesRead);
-    field(out, "max_lines_written", st.maxLinesWritten);
-    field(out, "net_messages", st.netMessages);
-    field(out, "net_bytes", st.netBytes);
-    field(out, "timeout_resends", st.timeoutResends);
-    field(out, "reliable_resends", st.reliableResends);
-    field(out, "retry_budget_deferrals", st.retryBudgetDeferrals);
-    out += "}}";
     return out;
 }
 
@@ -284,21 +277,21 @@ sweepReportJson(const std::string &tool, unsigned jobs, bool smoke,
                 const std::vector<JsonRun> &runs)
 {
     std::string out = "{";
-    fieldS(out, "schema", "hades-sweep-v1", true);
-    fieldS(out, "tool", tool);
+    field(out, "schema", "hades-sweep-v1");
+    field(out, "tool", tool);
     field(out, "jobs", jobs);
-    fieldB(out, "smoke", smoke);
+    field(out, "smoke", smoke);
     out += ",\"runs\":[";
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const JsonRun &r = runs[i];
         if (i)
             out += ',';
         std::string entry = "{";
-        field(entry, "index", r.outcome->index, true);
-        fieldS(entry, "key", r.key);
-        fieldB(entry, "ok", r.outcome->ok);
+        field(entry, "index", r.outcome->index);
+        field(entry, "key", r.key);
+        field(entry, "ok", r.outcome->ok);
         if (!r.outcome->ok)
-            fieldS(entry, "error", r.outcome->error);
+            field(entry, "error", r.outcome->error);
         entry += ",\"spec\":";
         entry += runSpecJson(*r.spec);
         if (r.outcome->ok) {

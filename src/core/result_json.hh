@@ -16,7 +16,8 @@
  *         "ok": <bool>, "error": "<why, when !ok>",
  *         "spec": { engine/mix/cluster geometry/seed/faults/audit echo },
  *         "result": { every RunResult field, ticks as integers,
- *                     rates as doubles, "stats": EngineStats counters }
+ *                     rates as doubles, "stats": EngineStats counters;
+ *                     counter keys in counters.hh table order }
  *     } ]
  *   }
  *
@@ -54,6 +55,10 @@ std::string runSpecJson(const RunSpec &spec);
 
 /** Serialize one result (object, no trailing newline). */
 std::string runResultJson(const RunResult &res);
+
+/** The CLI's counter report: one `group  key=value ...` line per
+ *  counter-table group (counters.hh) that has a nonzero row. */
+std::string counterSummary(const RunResult &res);
 
 /** Write @p json to @p path; fatal() on I/O failure. */
 void writeJsonFile(const std::string &path, const std::string &json);

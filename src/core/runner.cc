@@ -453,7 +453,6 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
     if (sys.replicas) {
         res.replicatedCommits = sys.replicas->replicatedCommits();
         res.replicationAborts = sys.replicas->replicationAborts();
-        res.lostReplicaMessages = sys.replicas->lostMessages();
     }
     if (faults) {
         const auto &fs = faults->stats();
@@ -485,7 +484,6 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
         res.admittedTxns = as.admittedTxns;
         res.shedTxns = as.shedTxns;
     }
-    res.retryBudgetDeferrals = st.retryBudgetDeferrals;
     if (recov) {
         const auto &rs = recov->stats();
         res.recoveryEnabled = true;
@@ -519,15 +517,9 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
         res.migrationBatches = ms.migrationBatches;
         res.drainDurationEvents = ms.drainDurationEvents;
         res.joinsCompleted = ms.joinsCompleted;
-        res.stalePlacementRetries = st.squashes[std::size_t(
-            txn::SquashReason::StalePlacement)];
     }
     res.fencedStaleMessages = sys.network.fencedStaleMessages();
     res.netRetransmits = sys.network.totalRetransmits();
-    res.timeoutResends = st.timeoutResends;
-    res.reliableResends = st.reliableResends;
-    res.timeoutSquashes =
-        st.squashes[std::size_t(txn::SquashReason::CommitTimeout)];
     res.shardsUsed = sys.kernel.shards();
     res.shardsThreaded = sys.kernel.threaded();
     res.shardWindows = sys.kernel.windowBarriers();

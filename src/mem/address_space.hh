@@ -148,7 +148,8 @@ class Placement
     registeredHomedAt(NodeId node) const
     {
         std::vector<std::uint64_t> out;
-        for (const auto &kv : registered_) // det-lint: ordered-ok (sorted)
+        // hades-analyze: unordered-iter-ok (sorted below)
+        for (const auto &kv : registered_)
             if (homeOf(kv.first) == node)
                 out.push_back(kv.first);
         std::sort(out.begin(), out.end());

@@ -134,7 +134,7 @@ LlcDirectory::linesWrittenBy(std::uint64_t tx_id) const
         return out;
     // The exact index is a hash set; sort so the enumeration order the
     // protocol engines act on is platform-independent.
-    out.assign(it->second.begin(), it->second.end()); // det-lint: ordered-ok (sorted below)
+    out.assign(it->second.begin(), it->second.end()); // sorted below
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -153,7 +153,8 @@ LlcDirectory::clearTxTags(std::uint64_t tx_id, bool invalidate)
     if (it == writers_.end())
         return;
     // Per-line untag/invalidate is order-insensitive (no LRU stamps).
-    for (Addr line : it->second) { // det-lint: ordered-ok
+    // hades-analyze: unordered-iter-ok (order-insensitive untag)
+    for (Addr line : it->second) {
         if (Way *w = find(line)) {
             w->wrTxId = 0;
             if (invalidate)

@@ -575,8 +575,6 @@ BaselineEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
             };
             for (auto &[b, updates] : plan) {
                 replica_nodes.insert(b);
-                if (sys_.replicas->injectLoss())
-                    continue; // the update never arrives: no Ack
                 const std::uint64_t id_c = self;
                 auto payload = updates;
                 if (b == ctx.node) {

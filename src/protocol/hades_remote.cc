@@ -387,8 +387,6 @@ HadesRemoteEngine::stageReplicas(ExecCtx ctx, const RemotePtr &at,
     };
     for (auto &[b, updates] : plan) {
         at->replicaNodes.insert(b);
-        if (sys_.replicas->injectLoss())
-            continue; // the update never arrives: no Ack
         const std::uint64_t id_c = at->id;
         auto payload = updates;
         if (b == ctx.node) {

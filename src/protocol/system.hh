@@ -244,7 +244,7 @@ class System
                 std::make_unique<NodeCtx>(n, config, kernel));
         if (repl.enabled()) {
             replicas = std::make_unique<replica::ReplicaManager>(
-                repl, cfg.numNodes, cfg.seed ^ 0xface);
+                repl, cfg.numNodes);
             // Elastic membership: nodes beyond the initial member count
             // start as spares -- outside the backup rings until their
             // scheduled join admits them.

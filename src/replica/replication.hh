@@ -17,8 +17,9 @@
  *  - a placement rule mapping each record to its K backup nodes,
  *  - per-node ReplicaStore with a two-stage (staged -> durable) image,
  *  - persistence timing (NVM-like by default, SSD configurable),
- *  - failure injection: a per-message loss probability and explicit
- *    node-failure switches, so the abort path is actually exercised.
+ *  - explicit node-failure switches. Lost replica updates come from
+ *    the FaultPlan's per-verb drops of the staging post, which abort
+ *    the transaction through the ReplicaTimeout path.
  */
 
 #ifndef HADES_REPLICA_REPLICATION_HH_
@@ -33,7 +34,6 @@
 
 #include "common/hash.hh"
 #include "common/log.hh"
-#include "common/rng.hh"
 #include "common/time.hh"
 #include "common/types.hh"
 #include "txn/ground_truth.hh"
@@ -54,9 +54,6 @@ struct ReplicationConfig
     /** Number of backup copies per record (0 disables replication). */
     std::uint32_t degree = 0;
     Medium medium = Medium::Nvm;
-    /** Probability that a replica-update message is lost (failure
-     *  injection; lost updates abort the transaction). */
-    double messageLossProbability = 0.0;
 
     bool enabled() const { return degree > 0; }
 
@@ -169,7 +166,8 @@ class ReplicaStore
     {
         std::vector<std::uint64_t> out;
         out.reserve(staged_.size());
-        for (const auto &kv : staged_) // det-lint: ordered-ok (sorted)
+        // hades-analyze: unordered-iter-ok (sorted below)
+        for (const auto &kv : staged_)
             out.push_back(kv.first);
         std::sort(out.begin(), out.end());
         return out;
@@ -195,16 +193,15 @@ class ReplicaStore
 
 /**
  * Cluster-wide replica placement and state: record -> K backup nodes
- * (primary excluded), one ReplicaStore per node, plus failure
- * injection counters.
+ * (primary excluded), one ReplicaStore per node, plus commit/abort
+ * counters.
  */
 class ReplicaManager
 {
   public:
-    ReplicaManager(const ReplicationConfig &cfg, std::uint32_t num_nodes,
-                   std::uint64_t seed = 0xfee1)
-        : cfg_(cfg), numNodes_(num_nodes), rng_(seed),
-          stores_(num_nodes), dead_(num_nodes, 0), present_(num_nodes, 1)
+    ReplicaManager(const ReplicationConfig &cfg, std::uint32_t num_nodes)
+        : cfg_(cfg), numNodes_(num_nodes), stores_(num_nodes),
+          dead_(num_nodes, 0), present_(num_nodes, 1)
     {}
 
     const ReplicationConfig &config() const { return cfg_; }
@@ -316,17 +313,6 @@ class ReplicaManager
     ReplicaStore &store(NodeId n) { return stores_[n]; }
     const ReplicaStore &store(NodeId n) const { return stores_[n]; }
 
-    /** Failure injection: does this replica-update message get lost? */
-    bool
-    injectLoss()
-    {
-        if (cfg_.messageLossProbability <= 0.0)
-            return false;
-        bool lost = rng_.chance(cfg_.messageLossProbability);
-        lostMessages_ += lost ? 1 : 0;
-        return lost;
-    }
-
     /**
      * Recovery check: for every record the workload ever committed,
      * every *live* backup must hold a durable image equal to the
@@ -354,7 +340,6 @@ class ReplicaManager
         return bad;
     }
 
-    std::uint64_t lostMessages() const { return lostMessages_; }
     std::uint64_t replicatedCommits() const { return commits_; }
     std::uint64_t replicationAborts() const { return aborts_; }
 
@@ -364,7 +349,6 @@ class ReplicaManager
   private:
     ReplicationConfig cfg_;
     std::uint32_t numNodes_;
-    Rng rng_;
     std::vector<ReplicaStore> stores_;
     std::vector<char> dead_;
     /** Membership mask: spares start absent, drained nodes end absent.
@@ -375,7 +359,6 @@ class ReplicaManager
     /** record -> commit seq of its last serialized write. Lookup only,
      *  never iterated (iteration order would be nondeterministic). */
     std::unordered_map<std::uint64_t, std::uint64_t> recordSeq_;
-    std::uint64_t lostMessages_ = 0;
     std::uint64_t commits_ = 0;
     std::uint64_t aborts_ = 0;
 };

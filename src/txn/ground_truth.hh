@@ -108,7 +108,8 @@ class GroundTruth
         std::vector<std::uint64_t> out;
         out.reserve(touched());
         for (const Bucket &b : buckets_)
-            for (const auto &kv : b.values) // det-lint: ordered-ok (sorted)
+            // hades-analyze: unordered-iter-ok (sorted below)
+            for (const auto &kv : b.values)
                 out.push_back(kv.first);
         std::sort(out.begin(), out.end());
         return out;

@@ -14,6 +14,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "core/counters.hh"
 
 namespace hades::txn
 {
@@ -100,9 +101,13 @@ squashReasonName(SquashReason r)
 /** Aggregate statistics for one engine over one simulation. */
 struct EngineStats
 {
-    std::uint64_t committed = 0;
-    std::uint64_t attempts = 0;
-    std::uint64_t lockModeFallbacks = 0;
+    /** The scalar counters: the Stats and Peak rows of core/counters.hh
+     *  (commits, attempts, Bloom checks, footprints, network snapshot,
+     *  resends, ...). */
+#define HADES_STATS_MEMBER(home, type, member, key, group)                    \
+    HADES_COUNTER_HOME_##home(type member{};, type member{};, , , )
+    HADES_COUNTERS(HADES_STATS_MEMBER, HADES_COUNTER_NO_SLOT)
+#undef HADES_STATS_MEMBER
 
     std::array<std::uint64_t,
                static_cast<std::size_t>(SquashReason::NumReasons)>
@@ -121,32 +126,6 @@ struct EngineStats
     std::array<Tick,
                static_cast<std::size_t>(Overhead::NumCategories)>
         overheadTicks{};
-
-    /** Core busy time attributable to transactions (for Other Time). */
-    Tick totalBusyTicks = 0;
-
-    /** Bloom filter conflict checks and measured false positives. */
-    std::uint64_t bfConflictChecks = 0;
-    std::uint64_t bfFalsePositives = 0;
-
-    /** Largest per-transaction cache-line footprints observed
-     *  (Section VIII-C quotes at most 76 read / 40 written). */
-    std::uint64_t maxLinesRead = 0;
-    std::uint64_t maxLinesWritten = 0;
-
-    /** Network message counts snapshot (filled by the runner). */
-    std::uint64_t netMessages = 0;
-    std::uint64_t netBytes = 0;
-
-    /** Commit-phase message resends triggered by an Ack timeout
-     *  (fault recovery; always 0 in fault-free runs). */
-    std::uint64_t timeoutResends = 0;
-    /** Reliable one-way resends (Validation/Squash/replica traffic)
-     *  triggered by a missing delivery confirmation. */
-    std::uint64_t reliableResends = 0;
-    /** Squash retries paced because the node's admission-control
-     *  retry budget was exhausted at the retry instant. */
-    std::uint64_t retryBudgetDeferrals = 0;
 
     std::uint64_t
     totalSquashes() const
@@ -175,12 +154,16 @@ struct EngineStats
         squashes[static_cast<std::size_t>(r)] += 1;
     }
 
+    /** Sums every counter row except the Peak rows (largest per-txn
+     *  footprints), which take the max. */
     void
     merge(const EngineStats &o)
     {
-        committed += o.committed;
-        attempts += o.attempts;
-        lockModeFallbacks += o.lockModeFallbacks;
+#define HADES_MERGE_MEMBER(home, type, member, key, group)                    \
+    HADES_COUNTER_HOME_##home(member += o.member;,                            \
+                              member = std::max(member, o.member);, , , )
+        HADES_COUNTERS(HADES_MERGE_MEMBER, HADES_COUNTER_NO_SLOT)
+#undef HADES_MERGE_MEMBER
         for (std::size_t i = 0; i < squashes.size(); ++i)
             squashes[i] += o.squashes[i];
         latency.merge(o.latency);
@@ -189,16 +172,6 @@ struct EngineStats
         commitPhase.merge(o.commitPhase);
         for (std::size_t i = 0; i < overheadTicks.size(); ++i)
             overheadTicks[i] += o.overheadTicks[i];
-        totalBusyTicks += o.totalBusyTicks;
-        bfConflictChecks += o.bfConflictChecks;
-        bfFalsePositives += o.bfFalsePositives;
-        maxLinesRead = std::max(maxLinesRead, o.maxLinesRead);
-        maxLinesWritten = std::max(maxLinesWritten, o.maxLinesWritten);
-        netMessages += o.netMessages;
-        netBytes += o.netBytes;
-        timeoutResends += o.timeoutResends;
-        reliableResends += o.reliableResends;
-        retryBudgetDeferrals += o.retryBudgetDeferrals;
     }
 };
 

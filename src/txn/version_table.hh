@@ -82,7 +82,7 @@ class VersionTable
     releaseOwnedBy(std::uint64_t owner)
     {
         std::vector<std::uint64_t> held;
-        // det-lint: ordered-ok (collected then sorted below)
+        // hades-analyze: unordered-iter-ok (collected, sorted below)
         for (const auto &[record, m] : meta_)
             if (m.lockOwner == owner)
                 held.push_back(record);
@@ -109,7 +109,7 @@ class VersionTable
     lockOwners() const
     {
         std::vector<std::uint64_t> owners;
-        // det-lint: ordered-ok (collected then sorted below)
+        // hades-analyze: unordered-iter-ok (collected, sorted below)
         for (const auto &[record, m] : meta_)
             if (m.lockOwner != 0)
                 owners.push_back(m.lockOwner);
@@ -124,7 +124,7 @@ class VersionTable
     lockedCount() const
     {
         std::size_t n = 0;
-        // det-lint: ordered-ok (pure count, order-insensitive)
+        // hades-analyze: unordered-iter-ok (order-insensitive count)
         for (const auto &[record, m] : meta_)
             n += m.lockOwner != 0;
         return n;

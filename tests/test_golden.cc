@@ -12,6 +12,10 @@
  * Golden.MatchesPinnedHashes additionally pins each spec's result hash
  * to a literal constant, so a refactor that silently changes modelled
  * results fails even though it is still self-consistent.
+ *
+ * Telemetry.EveryCounterReachesEverySink checks the counter table
+ * (core/counters.hh) end to end: every row reaches the JSON, the CLI
+ * summary and (Meta rows excepted) the result hash.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +24,11 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/result_hash.hh"
+#include "core/result_json.hh"
 #include "core/runner.hh"
 #include "core/sweep.hh"
 
@@ -226,6 +232,62 @@ TEST(Golden, RunManyMatchesSerialAtAnyJobCount)
                 << "jobs=" << jobs << " spec " << i
                 << " diverged from the serial run";
         }
+    }
+}
+
+TEST(Telemetry, EveryCounterReachesEverySink)
+{
+    const core::RunResult empty;
+    const std::uint64_t empty_hash = hashResult(empty);
+    std::size_t rows = 0;
+    core::forEachCounter(
+        empty, [&](const core::CounterInfo &, auto) { ++rows; },
+        [](core::CounterSlot) {});
+    ASSERT_GT(rows, 60u);
+
+    for (std::size_t target = 0; target < rows; ++target) {
+        // Put a distinct sentinel in row `target` of a default result.
+        core::RunResult r;
+        core::CounterInfo info{};
+        std::string text;
+        std::size_t i = 0;
+        core::forEachCounter(
+            r,
+            [&](const core::CounterInfo &c, auto &v) {
+                if (i++ != target)
+                    return;
+                using T = std::remove_reference_t<decltype(v)>;
+                if constexpr (std::is_same_v<T, bool>) {
+                    v = true;
+                    text = "true";
+                } else {
+                    v = T(1000 + 7 * target);
+                    text = std::to_string(v);
+                }
+                info = c;
+            },
+            [](core::CounterSlot) {});
+        SCOPED_TRACE(info.key);
+
+        const std::string json = core::runResultJson(r);
+        const std::size_t stats_at = json.find("\"stats\":{");
+        ASSERT_NE(stats_at, std::string::npos);
+        const std::size_t at =
+            json.find("\"" + std::string(info.key) + "\":" + text,
+                      info.inStats() ? stats_at : 0);
+        EXPECT_TRUE(at != std::string::npos &&
+                    (info.inStats() || at < stats_at))
+            << json;
+
+        const std::string summary = core::counterSummary(r);
+        EXPECT_NE(summary.find(std::string(info.key) + "=" + text),
+                  std::string::npos)
+            << summary;
+
+        if (info.hashed())
+            EXPECT_NE(hashResult(r), empty_hash);
+        else
+            EXPECT_EQ(hashResult(r), empty_hash);
     }
 }
 

@@ -472,7 +472,7 @@ TEST(Admission_, ExhaustedRetryBudgetPacesInsteadOfFailing)
     spec.cluster.admission.maxRetryDeferrals = 2;
     spec.scaleKeys = 60; // contended: plenty of squash retries
     auto r = core::runOne(spec);
-    EXPECT_GT(r.retryBudgetDeferrals, 0u)
+    EXPECT_GT(r.stats.retryBudgetDeferrals, 0u)
         << "no squash ever hit the exhausted budget";
     EXPECT_EQ(r.stats.committed, expectedCommits(spec))
         << "pacing must never strand a transaction";
@@ -491,7 +491,7 @@ TEST(Retry_, TimeoutLadderIsDeterministicAcrossRunsAndShards)
     spec.cluster.faults.seed = 7;
     auto a = core::runOne(spec);
     auto b = core::runOne(spec);
-    ASSERT_GT(a.timeoutResends, 0u)
+    ASSERT_GT(a.stats.timeoutResends, 0u)
         << "the drop rate never exercised the RTO ladder";
     EXPECT_EQ(core::hashResult(a), core::hashResult(b));
     for (std::uint32_t shards : {2u, 4u}) {

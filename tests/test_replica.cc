@@ -141,7 +141,7 @@ TEST(ReplicationConfig, MediumLatencies)
 // --- end-to-end integration with the HADES engine ---------------------------
 
 core::RunSpec
-replicatedSpec(std::uint32_t degree, double loss = 0.0)
+replicatedSpec(std::uint32_t degree)
 {
     core::RunSpec spec;
     spec.engine = protocol::EngineKind::Hades;
@@ -153,7 +153,6 @@ replicatedSpec(std::uint32_t degree, double loss = 0.0)
     spec.txnsPerContext = 40;
     spec.scaleKeys = 4'000;
     spec.replication.degree = degree;
-    spec.replication.messageLossProbability = loss;
     return spec;
 }
 
@@ -161,7 +160,7 @@ TEST(ReplicatedCommit, AllCommitsReplicated)
 {
     auto res = core::runOne(replicatedSpec(2));
     EXPECT_GT(res.replicatedCommits, 0u);
-    EXPECT_EQ(res.lostReplicaMessages, 0u);
+    EXPECT_EQ(res.faultDrops, 0u);
     EXPECT_EQ(res.stats.committed, 8u * 40u);
 }
 
@@ -177,15 +176,24 @@ TEST(ReplicatedCommit, ReplicationCostsThroughput)
 
 TEST(ReplicatedCommit, LossInjectionAbortsButStaysCorrect)
 {
-    auto res = core::runOne(replicatedSpec(2, /*loss=*/0.05));
-    EXPECT_GT(res.lostReplicaMessages, 0u);
+    // Lose 5% of the replica-staging posts (the one-way RdmaWrite that
+    // stageReplicas sends each backup): the staging Ack never comes,
+    // so the replica deadline squashes the attempt, which retries.
+    auto spec = replicatedSpec(2);
+    spec.cluster.faults.enabled = true;
+    spec.cluster.faults.dropProb[std::size_t(net::MsgType::RdmaWrite)] =
+        0.05;
+    spec.audit = true;
+    auto res = core::runOne(spec);
+    EXPECT_GT(res.faultDrops, 0u);
     EXPECT_GT(res.stats
                   .squashes[std::size_t(
                       txn::SquashReason::ReplicaTimeout)],
               0u)
         << "lost replica updates must abort transactions";
-    // Every context still finishes its quota.
+    // Every context still finishes its quota, and the audit passed.
     EXPECT_EQ(res.stats.committed, 8u * 40u);
+    EXPECT_TRUE(res.audited);
 }
 
 /** Direct System-level check: committed values are durable on backups. */

@@ -506,7 +506,8 @@ TEST(RobustnessTuning_, ReliableResendBudgetBoundsTheChannel)
     auto bounded = core::runOne(spec);
     EXPECT_EQ(unbounded.stats.committed, kFullQuota);
     EXPECT_EQ(bounded.stats.committed, kFullQuota);
-    EXPECT_LE(bounded.reliableResends, unbounded.reliableResends);
+    EXPECT_LE(bounded.stats.reliableResends,
+              unbounded.stats.reliableResends);
 }
 
 } // namespace

@@ -13,13 +13,14 @@ invariants that regex lints cannot see:
   A3 epoch fencing     handlers that mutate view-changed state compare
                        a configuration epoch first (PR 4's stale-epoch
                        fencing rule).
-  A4 telemetry         every counter in RunResult/EngineStats reaches
-                       both the hades-sweep-v1 JSON emitter and the CLI
-                       summary, so counters cannot silently vanish.
+  A4 telemetry       RunResult/EngineStats declare every scalar
+                       counter as a row of the counter table
+                       (src/core/counters.hh), which drives the hash,
+                       the hades-sweep-v1 JSON and the CLI summary.
 
-plus AST-accurate reimplementations of det-lint R3/R4 (unordered
-iteration, pointer-keyed ordering) without the same-file-declaration
-blind spot.
+plus AST-accurate R3X/R4X (unordered iteration, pointer-keyed
+ordering, resolved across files) and the determinism spelling rules
+R1 rng, R2 wall-clock, R5 thread-identity and R6 float-control.
 
 Two interchangeable frontends produce the same semantic IR:
 

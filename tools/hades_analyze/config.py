@@ -2,8 +2,8 @@
 
 Everything here is a *named system invariant* with a home in DESIGN.md:
 the lane-confinement discipline of section 11, the PR 4 epoch-fencing
-rules of section 9, and the hades-sweep-v1 telemetry contract of
-section 8. Keeping them in one module makes the encoded model of the
+rules of section 9, the counter-table contract of section 8, and the
+determinism rules of section 6. Keeping them in one module makes the encoded model of the
 system reviewable at a glance.
 """
 
@@ -48,11 +48,11 @@ A1_SETUP_FUNC_RE = re.compile(
     r"^(configure\w*|set[A-Z]\w*|reset\w*|init\w*|shard|attach\w*|"
     r"enable\w*|bind\w*|register\w*|reserve)$")
 
-# The runner and the CLI execute on the main thread outside
-# kernel.run() -- their own statements are prologue/epilogue, never
-# event context. driveContext is the exception (a coroutine that hops
-# onto a node lane), and so is any lambda they schedule.
-A1_RUNNER_FILES = ("src/core/", "examples/")
+# The runner executes on the main thread outside kernel.run() -- its
+# own statements are prologue/epilogue, never event context.
+# driveContext is the exception (a coroutine that hops onto a node
+# lane), and so is any lambda it schedules.
+A1_RUNNER_FILES = ("src/core/",)
 A1_RUNNER_EXCEPT = {"driveContext"}
 
 # --- A2 verb totality -------------------------------------------------------
@@ -98,30 +98,22 @@ A3_OWNER_CLASS_RE = re.compile(r"\bRecoveryManager\b")
 
 A3_EPOCH_RE = re.compile(r"epoch", re.IGNORECASE)
 
-# --- A4 telemetry conservation ---------------------------------------------
+# --- A4 telemetry: the counter table -----------------------------------------
 
-# The JSON emitter every RunResult/EngineStats field must reach.
-A4_JSON_FUNC = "runResultJson"
-A4_JSON_FILE = "src/core/result_json.cc"
-# The CLI summary (every counter field must be printable there).
-A4_CLI_FILE = "examples/hades_sim_cli.cpp"
+# Scalar counters are declared once, as ROW(home, type, member, ...)
+# lines of this X-macro table; the structs, hash, JSON and CLI summary
+# all expand it (DESIGN.md section 8).
+A4_TABLE_FILE = "src/core/counters.hh"
+A4_ROW_RE = re.compile(r"^\s*ROW\(\s*\w+\s*,\s*[\w:]+\s*,\s*(\w+)", re.M)
 
-A4_RESULT_CLASS = "RunResult"
-A4_STATS_CLASS = "EngineStats"
+A4_CLASSES = ("RunResult", "EngineStats")
 
-# Scalar counter types that must reach both sinks. Aggregates
-# (Histogram, Accumulator, arrays) surface through derived fields and
-# are checked for JSON presence only.
-A4_COUNTER_TYPE_RE = re.compile(
-    r"(std::uint64_t|std::uint32_t|std::int64_t|bool|Tick)\s*$")
-
-# EngineStats members that surface through derived RunResult fields
-# instead of verbatim serialization.
-A4_DERIVED_STATS = {
-    "execPhase": "exec_us",
-    "validationPhase": "validation_us",
-    "commitPhase": "commit_us",
-    "overheadTicks": "overhead_share",
+# Members the structs may declare by hand besides table rows and
+# derived `double` report values: the aggregates whose sinks are
+# hand-written around the table's SLOT rows.
+A4_AGGREGATES = {
+    "label", "stats", "squashes", "overheadTicks", "latency",
+    "execPhase", "validationPhase", "commitPhase", "overheadShare",
 }
 
 # --- R3X / R4X --------------------------------------------------------------
@@ -132,13 +124,61 @@ R3_UNORDERED_RE = re.compile(
 R4_ORDERED_TMPL_RE = re.compile(
     r"\bstd::(map|set|multimap|multiset|priority_queue)\s*<")
 
+# --- R1/R2/R5/R6 determinism spellings ---------------------------------------
+
+# Identifiers that hold smoothed *control* state: anything the
+# simulation branches on (SLO classification, admission, budgets).
+_CONTROL_NAME = (r"\w*(?:[Ee]wma|[Ss]lo[A-Z_]|SLO|[Hh]ealth[A-Z_]|"
+                 r"[Rr]etry[Bb]udget|[Aa]dmission)\w*")
+
+# rule -> (pattern over a line's code tokens, message, files that own
+# the primitive). Comments and string literals are never matched.
+DET_SPELLINGS = {
+    # R1: all randomness flows through the seeded Rng.
+    "rng": (
+        re.compile(
+            r"\b(?:std::)?(?:rand|srand|rand_r|drand48|lrand48)\(|"
+            r"\bstd::random_device\b|\bstd::mt19937(?:_64)?\b|"
+            r"\bstd::minstd_rand0?\b|\bstd::default_random_engine\b"),
+        "uncontrolled randomness; draw from the seeded Rng "
+        "(common/rng.hh)",
+        {"src/common/rng.hh"}),
+    # R2: simulated time comes from the kernel.
+    "wall-clock": (
+        re.compile(
+            r"\bstd::chrono::(?:system|steady|high_resolution)_clock\b|"
+            r"\b(?:gettimeofday|clock_gettime|localtime|gmtime)\(|"
+            r"(?<![\w:.])time\((?:NULL|nullptr|0|&)"),
+        "wall-clock time; simulated time only",
+        {"src/common/time.hh"}),
+    # R5: the OS thread running a lane is arbitrary under the threaded
+    # executor; lane identity comes from laneOf(node).
+    "thread-identity": (
+        re.compile(r"\bstd::this_thread::get_id\(|\bpthread_self\(|"
+                   r"(?<![\w:])gettid\(|\bstd::thread::id\b"),
+        "thread identity as data; lane identity comes from "
+        "laneOf(node), not the OS thread",
+        set()),
+    # R6: control decisions use fixed-point state (the Q8 EWMA in
+    # src/net/slo_tracker.hh) so they flip at the same sample on every
+    # platform; derived report metrics may stay double.
+    "float-control": (
+        re.compile(
+            r"\b(?:float|double) (?:\w+ )?%s ?[;={]|"
+            r"\b%s ?(?:\+=|-=|\*=)[^;]*(?:\d\.\d*\b|\bfloat\b|\bdouble\b)"
+            % (_CONTROL_NAME, _CONTROL_NAME)),
+        "floating-point accumulation in control state; smoothed "
+        "SLO/admission state must be fixed-point",
+        set()),
+}
+
 # --- suppression ------------------------------------------------------------
 
 SUPPRESS_RE = re.compile(
     r"hades-analyze:\s*([a-z0-9-]+)-ok(?:\s*\(([^)]*)\))?")
-DET_LINT_OK_RE = re.compile(r"det-lint:\s*ordered-ok")
 
 ALL_RULES = (
     "lane-escape", "verb-totality", "verb-reliability", "epoch-fence",
-    "telemetry", "unordered-iter", "pointer-order", "suppression",
+    "telemetry", "unordered-iter", "pointer-order", "rng", "wall-clock",
+    "thread-identity", "float-control", "suppression",
 )

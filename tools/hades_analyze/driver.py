@@ -25,17 +25,11 @@ from . import rules as R
 def collect_sources(repo):
     """Repo-relative posix paths of every file the analysis reads."""
     out = []
-    for root in ("src",):
-        base = os.path.join(repo, root)
-        for dirpath, _dirnames, filenames in os.walk(base):
-            for fname in sorted(filenames):
-                if fname.endswith((".hh", ".cc", ".hpp", ".cpp", ".h")):
-                    full = os.path.join(dirpath, fname)
-                    out.append(os.path.relpath(full, repo)
-                               .replace(os.sep, "/"))
-    cli = C.A4_CLI_FILE
-    if os.path.exists(os.path.join(repo, cli)):
-        out.append(cli)
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(repo, "src")):
+        for fname in sorted(filenames):
+            if fname.endswith((".hh", ".cc", ".hpp", ".cpp", ".h")):
+                full = os.path.join(dirpath, fname)
+                out.append(os.path.relpath(full, repo).replace(os.sep, "/"))
     return sorted(out)
 
 
@@ -98,6 +92,9 @@ def run_rules(index, selected):
         report["unresolved_ranges"] = unresolved
     if want("pointer-order"):
         findings += R.rule_pointer_order(index, supp)
+    for rule in C.DET_SPELLINGS:
+        if want(rule):
+            findings += R.rule_det_spelling(index, supp, rule)
     if want("suppression"):
         findings += supp.marker_findings()
 

@@ -155,6 +155,11 @@ class Parser:
             if t in ("extern",) and self.text(i + 1).startswith('"'):
                 i += 2
                 continue
+            if t.isupper() and self.text(i + 1) == "(":
+                # Declaration-level macro expansion (the counter
+                # table's HADES_COUNTERS(...)): no ';' of its own.
+                i = self.match_forward(i + 1, "(", ")")
+                continue
             i = self.parse_declaration(i, end, ns, cls)
         return i
 

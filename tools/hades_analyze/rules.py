@@ -21,6 +21,7 @@ import re
 from . import config as C
 from .model import Finding
 from .cpp_lexer import lex
+from .parse_fallback import spell
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -29,10 +30,7 @@ class Suppressor:
     """Looks up `// hades-analyze: <rule>-ok (justification)` markers on
     a finding's line or the line above. A marker with no justification
     does not suppress -- it becomes its own finding (rule
-    'suppression'). R3X/R4X additionally honor the pre-existing
-    `det-lint: ordered-ok` markers."""
-
-    DET_LINT_RULES = {"unordered-iter", "pointer-order"}
+    'suppression')."""
 
     def __init__(self, index):
         self.index = index
@@ -50,9 +48,6 @@ class Suppressor:
                     if just:
                         self.used.add((path, ln, rule))
                         return True, just
-            if rule in self.DET_LINT_RULES and C.DET_LINT_OK_RE.search(text):
-                self.used.add((path, ln, rule))
-                return True, "det-lint: ordered-ok"
         return False, ""
 
     def marker_findings(self):
@@ -393,19 +388,22 @@ def owner_class_of_write(index, resolver, fn, w, target_classes):
     if w.cls:
         return w.cls
     cands = [f.cls for f in index.fields_by_name.get(w.field, [])]
-    if len(set(cands)) == 1:
-        return cands[0]
-    comps = expr_components(w.expr)
-    if len(comps) >= 2:
+    ci = None
+    if len(expr_components(w.expr)) >= 2:
         # Resolve the receiver (everything but the final field).
         recv = w.expr
         cut = recv.rfind(w.field)
         if cut > 0:
             recv = recv[:cut].rstrip(".->")
-        t = resolver.resolve(fn, recv)
-        ci = resolver.class_of(t)
+        ci = resolver.class_of(resolver.resolve(fn, recv))
         if ci and ci.name in cands:
             return ci.name
+        if ci and not ci.bases:
+            # A base-less receiver owns the field even when the IR
+            # cannot see its declaration (counter-table members).
+            return ci.name
+    if len(set(cands)) == 1:
+        return cands[0]
     in_target = [c for c in set(cands) if c in target_classes]
     if len(in_target) == 1:
         return in_target[0]
@@ -715,29 +713,7 @@ def rule_epoch_fence(index, supp):
     return findings
 
 
-# --- A4: telemetry conservation ---------------------------------------------
-
-def sink_blob(index, files):
-    """Concatenated callee+arg+initializer spellings of every call and
-    local in @p files -- the set of expressions the
-    serializers/printers evaluate."""
-    parts = []
-    for fn in index.functions:
-        if fn.file not in files:
-            continue
-        for call in fn.calls:
-            parts.append(call.callee)
-            parts.extend(call.args)
-        for sw in fn.switches:
-            parts.append(sw.cond)
-        for rf in fn.ranged_fors:
-            parts.append(rf.range_expr)
-        for v in fn.locals:
-            parts.append(v.init)
-        for w in fn.writes:
-            parts.append(w.expr)
-    return "\n".join(parts)
-
+# --- A4: telemetry: every counter is a table row ---------------------------
 
 def raw_text(index, path):
     full = os.path.join(getattr(index, "repo", "."), path)
@@ -749,72 +725,74 @@ def raw_text(index, path):
 
 
 def rule_telemetry(index, supp):
-    """A4: every RunResult/EngineStats field must reach the JSON
-    emitter, and every scalar counter must also reach the CLI summary.
-    A counter that is bumped but never reported is telemetry lost."""
+    """A4: RunResult/EngineStats declare their counters from the
+    counter table, whose expansions are the only sinks (hash, JSON, CLI
+    summary, merge). A member declared by hand is reported nowhere
+    unless it is a table row, a derived `double`, or a named aggregate
+    with hand-written sinks."""
     findings = []
-    json_blob = sink_blob(index, {C.A4_JSON_FILE})
-    cli_blob = sink_blob(index, {C.A4_CLI_FILE})
-    # Derived names (JSON keys like "overhead_share") are spelled in
-    # string literals the IR does not carry; check the raw source.
-    json_raw = raw_text(index, C.A4_JSON_FILE)
-    cli_raw = raw_text(index, C.A4_CLI_FILE)
-
-    def check(ci, in_cli_too):
-        for fld in ci.fields:
-            if fld.is_static or fld.is_const:
-                continue
-            pat = re.compile(r"[.>]\s*%s\b" % re.escape(fld.name))
-            derived = C.A4_DERIVED_STATS.get(fld.name)
-            in_json = bool(pat.search(json_blob)) or bool(
-                derived and derived in json_raw)
-            is_counter = bool(
-                C.A4_COUNTER_TYPE_RE.search(fld.type_spelling))
-            # The CLI is a printer: fields feed printf arguments and
-            # bare if-conditions the IR does not record, so a
-            # word-boundary spelling match in the file IS the
-            # conservation criterion there.
-            in_cli = (bool(pat.search(cli_blob))
-                      or bool(pat.search(cli_raw))
-                      or bool(derived and derived in cli_raw))
-            missing = []
-            if not in_json:
-                missing.append("JSON (%s)" % C.A4_JSON_FILE)
-            if in_cli_too and is_counter and not in_cli:
-                missing.append("CLI summary (%s)" % C.A4_CLI_FILE)
-            if not missing:
-                continue
-            ok, _ = supp.find(fld.file, fld.line, "telemetry")
-            if ok:
-                continue
-            findings.append(Finding(
-                "telemetry", fld.file, fld.line,
-                "%s::%s never reaches the %s"
-                % (ci.name.split("::")[-1], fld.name,
-                   " or ".join(missing)),
-                "counters must be conserved end to end: struct -> "
-                "runResultJson -> CLI; wire it through or annotate "
-                "telemetry-ok"))
-
-    for cname in (C.A4_RESULT_CLASS, C.A4_STATS_CLASS):
+    rows = set(C.A4_ROW_RE.findall(raw_text(index, C.A4_TABLE_FILE)))
+    if not rows:
+        return [Finding("telemetry", "<config>", 0,
+                        "counter table %s has no ROW lines"
+                        % C.A4_TABLE_FILE)]
+    for cname in C.A4_CLASSES:
         ci = index.classes.get(cname)
         if ci is None:
             findings.append(Finding(
                 "telemetry", "<config>", 0,
                 "telemetry class %s not found in the tree" % cname))
             continue
-        check(ci, in_cli_too=True)
+        for fld in ci.fields:
+            if (fld.is_static or fld.is_const or fld.name in rows
+                    or fld.name in C.A4_AGGREGATES
+                    or fld.type_spelling == "double"):
+                continue
+            ok, _ = supp.find(fld.file, fld.line, "telemetry")
+            if ok:
+                continue
+            findings.append(Finding(
+                "telemetry", fld.file, fld.line,
+                "%s::%s is declared by hand, outside the counter table"
+                % (cname, fld.name),
+                "add it as a ROW of %s so the hash, JSON and CLI summary "
+                "report it, or annotate telemetry-ok" % C.A4_TABLE_FILE))
+    return findings
+
+
+# --- R1/R2/R5/R6: determinism spellings -------------------------------------
+
+def code_lines(index, path):
+    """line -> compact spelling of that line's code tokens: comments
+    and string literals dropped, so prose and log text never match."""
+    toks, _ = lex(raw_text(index, path))
+    by_line = {}
+    for t in toks:
+        if t.kind != "str":
+            by_line.setdefault(t.line, []).append(t)
+    return {ln: spell(ts) for ln, ts in by_line.items()}
+
+
+def rule_det_spelling(index, supp, rule):
+    """One of the determinism spelling rules in C.DET_SPELLINGS: a
+    banned primitive outside the file that owns it."""
+    pat, msg, owners = C.DET_SPELLINGS[rule]
+    findings = []
+    for f in index.files:
+        if f.path in owners:
+            continue
+        for line, code in sorted(code_lines(index, f.path).items()):
+            if pat.search(code) and not supp.find(f.path, line, rule)[0]:
+                findings.append(Finding(rule, f.path, line, msg, code))
     return findings
 
 
 # --- R3X: unordered iteration (cross-file accurate) -------------------------
 
 def rule_unordered_iter(index, supp):
-    """det-lint R3, reimplemented over the IR: ranged-for over an
-    unordered container, resolving the range expression through
-    locals, parameters, fields declared in OTHER files, aliases, and
-    accessor return types (the regex version only saw same-file
-    declarations)."""
+    """R3X: ranged-for over an unordered container, resolving the
+    range expression through locals, parameters, fields declared in
+    OTHER files, aliases, and accessor return types."""
     resolver = TypeResolver(index)
     findings = []
     unresolved = 0
@@ -842,10 +820,10 @@ def rule_unordered_iter(index, supp):
 # --- R4X: pointer-keyed ordered containers ----------------------------------
 
 def rule_pointer_order(index, supp):
-    """det-lint R4, reimplemented over the IR: ordered containers
-    keyed on raw pointers order by address, which varies run to run.
-    Unlike the regex, this sees multi-line declarations, typedefs, and
-    aliases -- and accepts an explicit custom comparator."""
+    """R4X: ordered containers keyed on raw pointers order by
+    address, which varies run to run. Sees multi-line declarations,
+    typedefs, and aliases -- and accepts an explicit custom
+    comparator."""
     findings = []
 
     def check(name, type_spelling, path, line, where):

@@ -31,14 +31,4 @@ Scan::runWaived() const
     return sum;
 }
 
-std::uint64_t
-Scan::runLegacy() const
-{
-    std::uint64_t sum = 0;
-    // det-lint: ordered-ok
-    for (const auto &kv : tbl_.byKey)
-        sum += kv.second;
-    return sum;
-}
-
 } // namespace fx::protocol

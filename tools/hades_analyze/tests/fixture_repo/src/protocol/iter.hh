@@ -1,6 +1,6 @@
 // R3X/R4X fixtures: the unordered container and the pointer-keyed
 // maps are declared HERE while the loops live in iter.cc -- the
-// cross-file resolution det-lint's regex could not do.
+// cross-file resolution a line-based regex cannot do.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,6 @@ class Scan
     std::uint64_t run() const;          // expect: unordered-iter
     std::uint64_t runOrdered() const;   // ordered map: clean
     std::uint64_t runWaived() const;    // hades-analyze marker: clean
-    std::uint64_t runLegacy() const;    // det-lint marker: clean
 
   private:
     Table tbl_;
