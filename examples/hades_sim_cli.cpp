@@ -105,12 +105,10 @@ usage(const char *argv0)
         "  --audit | --no-audit              correctness auditor\n"
         "                                    (default: on in debug "
         "builds)\n"
-        "  --shards N                        kernel shard count\n"
-        "                                    (default 1 = serial;\n"
-        "                                    any N is bit-identical)\n"
-        "  --shard-window-us T               override the sync window\n"
-        "  --shards-det                      force the deterministic\n"
-        "                                    (non-threaded) executor\n"
+        "  --shards N                        kernel worker threads for\n"
+        "                                    thread-certified specs\n"
+        "                                    (default 1 = serial; any N\n"
+        "                                    is bit-identical)\n"
         "  --all-engines                     run the config under all\n"
         "                                    three engines, in parallel\n"
         "  --jobs N                          sweep worker threads\n"
@@ -425,11 +423,6 @@ main(int argc, char **argv)
                 std::uint32_t(std::atoi(next().c_str()));
         else if (opt == "--shards")
             spec.shards = std::uint32_t(std::atoi(next().c_str()));
-        else if (opt == "--shard-window-us")
-            spec.cluster.sharding.windowTicksOverride =
-                us(std::atoll(next().c_str()));
-        else if (opt == "--shards-det")
-            spec.cluster.sharding.forceDeterministic = true;
         else if (opt == "--audit")
             spec.audit = true;
         else if (opt == "--no-audit")

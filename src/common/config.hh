@@ -547,34 +547,6 @@ struct AdmissionConfig
     std::uint32_t shedBackoffCapShift = 4;
 };
 
-/**
- * Sharded parallel-kernel knobs (src/sim/kernel.hh). The shard *count*
- * lives on core::RunSpec (it selects an executor, not a model
- * parameter); this struct tunes how the sharded executors behave.
- * Defaults keep every run bit-identical to the serial oracle.
- */
-struct ShardingConfig
-{
-    /** Conservative synchronization window width. 0 means "use the
-     *  lookahead": netRoundTrip / 2, the NIC round-trip floor below
-     *  which no cross-node event can land (DESIGN.md section 11).
-     *  Must not exceed the lookahead when threaded execution is on. */
-    Tick windowTicksOverride = 0;
-    /** Force the single-threaded deterministic merge even for specs
-     *  the runner would certify for threaded execution (debugging and
-     *  the differential tests use this to pin down which executor
-     *  diverged). */
-    bool forceDeterministic = false;
-
-    /** Effective window width for a given network round trip. */
-    Tick
-    windowFor(Tick net_round_trip) const
-    {
-        return windowTicksOverride > 0 ? windowTicksOverride
-                                       : net_round_trip / 2;
-    }
-};
-
 /** Top-level cluster configuration (defaults reproduce Table III). */
 struct ClusterConfig
 {
@@ -606,7 +578,6 @@ struct ClusterConfig
     // --- Network -----------------------------------------------------------
     Tick netRoundTrip = us(2);
     double netBandwidthGbps = 200.0;
-    std::uint32_t nicQueuePairs = 400;
     std::uint32_t messageHeaderBytes = 64;
     /** Fixed NIC pipeline processing per message (both endpoints). */
     Tick nicProcessing = ns(150);
@@ -635,10 +606,6 @@ struct ClusterConfig
 
     /** Admission control and retry budgets (disabled by default). */
     AdmissionConfig admission;
-
-    /** Sharded parallel-kernel tuning (RunSpec::shards selects the
-     *  executor; this only tunes it). */
-    ShardingConfig sharding;
 
     // --- Workload placement --------------------------------------------------
     /** Fraction of requests whose home is the coordinator's node. The

@@ -111,8 +111,8 @@ driveContext(TxnEngine &engine, workload::WorkloadGenerator &gen,
         } catch (const sim::SerialRerunNeeded &) {
             // The threaded executor cannot run the lock-mode fallback;
             // the kernel flag is already set and runOne() redoes the
-            // whole spec deterministically. Just retire this driver so
-            // the doomed run drains quickly.
+            // whole spec serially. Just retire this driver so the
+            // doomed run drains quickly.
             stop = true;
         }
         if (adm)
@@ -137,8 +137,8 @@ driveContext(TxnEngine &engine, workload::WorkloadGenerator &gen,
  * inspect coordinator flags from remote lanes), recovery and
  * replication (cluster-global scans), the process-global auditor, and
  * the partial-locality re-pick loop (placement probes outside the
- * generator's own node). Everything else still shards
- * deterministically on one thread when asked to.
+ * generator's own node). Every other spec runs on the serial kernel,
+ * whatever shard count it asks for.
  */
 bool
 certifiedForThreads(const RunSpec &spec)
@@ -154,25 +154,23 @@ certifiedForThreads(const RunSpec &spec)
     if (spec.cluster.forcedLocalFraction >= 0.0 &&
         spec.cluster.forcedLocalFraction < 1.0)
         return false;
-    if (spec.cluster.sharding.forceDeterministic)
-        return false;
     return true;
 }
 
-RunResult runOneImpl(const RunSpec &spec, bool force_deterministic);
+RunResult runOneImpl(const RunSpec &spec);
 
 } // namespace
 
 RunResult
 runOne(const RunSpec &spec)
 {
-    RunResult res = runOneImpl(spec, false);
+    RunResult res = runOneImpl(spec);
     if (res.serialRerun) {
         // The threaded executor bailed out (lock-mode fallback): redo
-        // the spec on the deterministic sharded executor, which
-        // handles every path, and report its (bit-identical-to-serial)
-        // results.
-        res = runOneImpl(spec, true);
+        // the spec on the serial kernel, which handles every path.
+        RunSpec serial = spec;
+        serial.shards = 1;
+        res = runOneImpl(serial);
         res.serialRerun = true;
     }
     return res;
@@ -182,7 +180,7 @@ namespace
 {
 
 RunResult
-runOneImpl(const RunSpec &spec, bool force_deterministic)
+runOneImpl(const RunSpec &spec)
 {
     always_assert(!spec.mix.empty(), "run needs at least one workload");
     if (spec.cluster.slo.enabled)
@@ -218,24 +216,17 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
                                  spec.cluster.recordPayloadBytes),
                spec.replication);
 
-    // Select the execution mode before the first event is scheduled.
-    // The window width is the conservative lookahead: no cross-node
-    // event can land sooner than half the NIC round trip.
+    // Select the execution mode before the first event is scheduled:
+    // only certified specs shard, onto worker threads. The window width
+    // is the conservative lookahead: no cross-node event can land
+    // sooner than half the NIC round trip.
     const std::uint32_t shards =
         std::max(1u, std::min(spec.shards, spec.cluster.numNodes));
-    if (shards > 1) {
+    if (shards > 1 && certifiedForThreads(spec)) {
         sim::ShardPlan plan;
         plan.shards = shards;
         plan.numNodes = spec.cluster.numNodes;
-        plan.windowTicks = spec.cluster.sharding.windowFor(
-            spec.cluster.netRoundTrip);
-        plan.threaded =
-            !force_deterministic && certifiedForThreads(spec);
-        if (plan.threaded) {
-            always_assert(
-                plan.windowTicks <= spec.cluster.netRoundTrip / 2,
-                "threaded window exceeds the network lookahead");
-        }
+        plan.windowTicks = spec.cluster.netRoundTrip / 2;
         sys.kernel.configureSharding(plan);
     }
 
@@ -355,7 +346,7 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
 
     if (sys.kernel.serialRerunRequested()) {
         // Threaded execution hit a path it cannot reproduce; the
-        // caller redoes the spec deterministically. Results of this
+        // caller redoes the spec serially. Results of this
         // doomed run are meaningless -- return only the flag.
         RunResult bail;
         bail.serialRerun = true;
@@ -521,7 +512,7 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
     res.fencedStaleMessages = sys.network.fencedStaleMessages();
     res.netRetransmits = sys.network.totalRetransmits();
     res.shardsUsed = sys.kernel.shards();
-    res.shardsThreaded = sys.kernel.threaded();
+    res.shardsThreaded = sys.kernel.shards() > 1;
     res.shardWindows = sys.kernel.windowBarriers();
     res.crossShardEvents = sys.kernel.crossShardEvents();
     return res;

@@ -58,11 +58,12 @@ struct RunSpec
     bool audit = audit::kDefaultEnabled;
     /**
      * Kernel shard count (1 = the serial oracle). Any value produces
-     * bit-identical results: shards > 1 selects the sharded
-     * deterministic executor, upgraded to one worker thread per shard
-     * when the spec qualifies for threaded execution (all-local OLTP
-     * mix, no faults / recovery / replication / audit -- see DESIGN.md
-     * section 11). Tuning knobs live in ClusterConfig::sharding.
+     * bit-identical results: shards > 1 runs one worker thread per
+     * shard when the spec qualifies for threaded execution (no faults
+     * / recovery / replication / audit / membership / SLO / admission,
+     * uniform or all-local placement -- see DESIGN.md section 11);
+     * every other spec runs on the serial kernel. The window width is
+     * the network lookahead, ClusterConfig::netRoundTrip / 2.
      */
     std::uint32_t shards = 1;
 };

@@ -142,12 +142,12 @@ shrinkGenome(const Genome &g, const FuzzRunOptions &opt,
             best = candidate;
     }
 
-    // Executor dimension next: a failure that survives at shards = 1
-    // replays on the plain serial kernel, the simplest possible repro.
-    // (Sharding is bit-identical by contract, so this only "fails" to
-    // shrink when the bug itself lives in the sharded executor --
-    // exactly the case where keeping the shard count in the artifact
-    // matters.)
+    // Lane count next: the shard gene only sizes the threaded replay
+    // (max(shards, 2) lanes; the audited fault scenario always runs
+    // serially), so shards = 1 either changes nothing or leaves the
+    // smallest two-lane replay. It only "fails" to shrink when the bug
+    // needs more lanes -- exactly the case where keeping the shard
+    // count in the artifact matters.
     if (best.shards > 1) {
         Genome candidate = best;
         candidate.shards = 1;

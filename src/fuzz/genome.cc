@@ -111,7 +111,7 @@ randomGenome(std::uint64_t seed, const GenomeLimits &lim)
     g.seed = seed;
     g.nodes = 5 + std::uint32_t(rng.below(2));
     g.txnsPerContext = 4 + std::uint32_t(rng.below(5));
-    g.shards = 1u << rng.below(4); // 1, 2, 4, or 8 kernel lanes
+    g.shards = 1u << rng.below(4); // 1, 2, 4, or 8 threaded lanes
     const std::uint32_t n =
         1 + std::uint32_t(rng.below(std::max<std::uint32_t>(lim.maxEvents, 1)));
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -330,7 +330,6 @@ specFor(const Genome &g, protocol::EngineKind engine, bool smoke)
     applyEvents(g, cc);
     spec.replication.degree = 2;
     spec.audit = true;
-    spec.shards = std::max<std::uint32_t>(g.shards, 1);
     return spec;
 }
 

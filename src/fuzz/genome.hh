@@ -79,11 +79,10 @@ struct Genome
     std::uint64_t seed = 1;          //!< mixes cluster and fault RNG seeds
     std::uint32_t nodes = 5;
     std::uint32_t txnsPerContext = 6;
-    /** Kernel shard count the scenario replays under (1 = serial
-     *  oracle). Sharding is bit-identical by contract, so a failure
-     *  that reproduces at shards > 1 must also reproduce serially --
-     *  the campaign fuzzes the executor dimension for free and the
-     *  shrinker tries collapsing it to 1 first. */
+    /** Worker-thread lane count of the threadedMessaging replay
+     *  (threadedSpecFor uses max(shards, 2)). The audited fault
+     *  scenario ignores it: it is never thread-certified and runs on
+     *  the serial kernel. The shrinker tries collapsing it to 1. */
     std::uint32_t shards = 1;
     /** TEST-ONLY: decode sets RecoveryConfig::testSkipImageResync so a
      *  crash leaves divergent backups behind (see config.hh). */

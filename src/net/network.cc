@@ -251,6 +251,27 @@ Network::faultyRoundTrip(MsgType type, NodeId src, NodeId dst,
         });
     };
 
+    // Send one request copy to @p server over its own src->server link:
+    // judge the link, stall the TX port, stamp the send-instant epoch,
+    // then schedule the copy and any duplicate on the server's lane.
+    auto sendCopy = [this, deliver, type, src, half](NodeId server) {
+        FaultDecision fd = fault_->judge(type, src, server);
+        if (fd.stall > 0)
+            txPort_[src]->reserve(fd.stall);
+        const std::uint64_t sent_epoch = epoch_;
+        if (!fd.drop)
+            kernel_.scheduleAs(server, half + fd.delay,
+                               [deliver, server, sent_epoch,
+                                corrupt = fd.corrupt] {
+                                   deliver(server, sent_epoch, corrupt);
+                               });
+        if (fd.duplicate)
+            kernel_.scheduleAs(server, half + fd.duplicateDelay,
+                               [deliver, server, sent_epoch] {
+                                   deliver(server, sent_epoch, false);
+                               });
+    };
+
     Tick rto = cfg_.tuning.retryTimeoutBase;
     for (std::uint32_t attempt = 0;; ++attempt) {
         // Fail-stop: a crashed requester unwinds its caller (the dead
@@ -268,21 +289,7 @@ Network::faultyRoundTrip(MsgType type, NodeId src, NodeId dst,
                                                 cfg_.messageHeaderBytes));
         if (st->respArrived)
             break; // a late response of an earlier copy arrived
-        FaultDecision fd = fault_->judge(type, src, dst);
-        if (fd.stall > 0)
-            txPort_[src]->reserve(fd.stall);
-        const std::uint64_t sent_epoch = epoch_;
-        if (!fd.drop)
-            kernel_.scheduleAs(dst, half + fd.delay,
-                               [deliver, dst, sent_epoch,
-                                corrupt = fd.corrupt] {
-                                   deliver(dst, sent_epoch, corrupt);
-                               });
-        if (fd.duplicate)
-            kernel_.scheduleAs(dst, half + fd.duplicateDelay,
-                               [deliver, dst, sent_epoch] {
-                                   deliver(dst, sent_epoch, false);
-                               });
+        sendCopy(dst);
 
         // Arm the one-shot latency hedge after the first send: if the
         // home stays silent past the hedge delay, one extra copy goes
@@ -293,7 +300,7 @@ Network::faultyRoundTrip(MsgType type, NodeId src, NodeId dst,
         if (hedge && attempt == 0) {
             kernel_.schedule(
                 hedge->delay,
-                [this, st, deliver, type, src, backup = hedge->backup,
+                [this, st, sendCopy, type, src, backup = hedge->backup,
                  req_bytes] {
                     if (!st->active || st->respArrived ||
                         dead_[backup] || dead_[src])
@@ -302,25 +309,7 @@ Network::faultyRoundTrip(MsgType type, NodeId src, NodeId dst,
                     account(src, type, req_bytes);
                     txPort_[src]->reserve(serialize(
                         req_bytes + cfg_.messageHeaderBytes));
-                    FaultDecision hd = fault_->judge(type, src, backup);
-                    if (hd.stall > 0)
-                        txPort_[src]->reserve(hd.stall);
-                    const std::uint64_t hedge_epoch = epoch_;
-                    const Tick hhalf =
-                        cfg_.netRoundTrip / 2 + cfg_.nicProcessing;
-                    if (!hd.drop)
-                        kernel_.scheduleAs(
-                            backup, hhalf + hd.delay,
-                            [deliver, backup, hedge_epoch,
-                             corrupt = hd.corrupt] {
-                                deliver(backup, hedge_epoch, corrupt);
-                            });
-                    if (hd.duplicate)
-                        kernel_.scheduleAs(
-                            backup, hhalf + hd.duplicateDelay,
-                            [deliver, backup, hedge_epoch] {
-                                deliver(backup, hedge_epoch, false);
-                            });
+                    sendCopy(backup);
                 });
         }
 

@@ -286,11 +286,10 @@ class Network
      * delivery state across copies racing on both endpoints' lanes) and
      * the recovery control plane (Lease / ViewChange, whose view-change
      * handler walks every node's state). Hitting this aborts the
-     * attempt and re-runs the spec on the deterministic sharded
-     * executor (which handles every model path bit-identically) --
-     * only reachable when the static certification in runner.cc admits
-     * a spec that turns out to use a serial path; the run is redone,
-     * never silently wrong.
+     * attempt and re-runs the spec on the serial kernel (which handles
+     * every model path) -- only reachable when the static
+     * certification in runner.cc admits a spec that turns out to use a
+     * serial path; the run is redone, never silently wrong.
      */
     void
     refuseIfThreaded()
@@ -303,8 +302,8 @@ class Network
 
     /** Every send must originate on the sender's own lane (the source
      *  TX port and the source statistics slot are lane-owned state).
-     *  Checked only while worker threads are live; the serial modes
-     *  are correct for any caller context. */
+     *  Checked only while worker threads are live; the serial kernel
+     *  is correct for any caller context. */
     void
     assertLaneLocalSend(NodeId src) const
     {

@@ -109,8 +109,6 @@ class TxnEngine
     run(ExecCtx ctx, const txn::TxnProgram &prog)
     {
         const Tick start = sys_.kernel.now();
-        sys_.tracer.log(start, sim::TraceEvent::TxnStart, ctx.packed(),
-                        ctx.node);
         std::uint32_t squash_count = 0;
         for (;;) {
             throwIfNodeDead(ctx);
@@ -131,8 +129,6 @@ class TxnEngine
         }
         st().committed += 1;
         st().latency.add(std::uint64_t(sys_.kernel.now() - start));
-        sys_.tracer.log(sys_.kernel.now(), sim::TraceEvent::TxnCommit,
-                        ctx.packed(), ctx.node);
     }
 
     /**
@@ -507,11 +503,11 @@ class TxnEngine
 
     /**
      * The pessimistic lock-mode fallback serializes on a cluster-wide
-     * token, which the threaded sharded executor cannot reproduce
+     * token, which the threaded executor cannot reproduce
      * bit-identically. Engines call this at the top of the fallback:
      * under threaded execution it asks the runner for a transparent
-     * re-run on the (fully general) deterministic executor and unwinds
-     * the attempt. Every other execution mode is a no-op.
+     * re-run on the (fully general) serial kernel and unwinds the
+     * attempt. On the serial kernel it is a no-op.
      */
     void
     ensureSerialForLockMode()

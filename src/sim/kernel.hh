@@ -1,6 +1,7 @@
 /**
  * @file
- * Discrete-event simulation kernel, optionally sharded by node.
+ * Discrete-event simulation kernel, optionally sharded by node onto
+ * worker threads.
  *
  * Event ordering is deterministic and *shard-count invariant*: every
  * event is stamped at schedule time with the identity of the node
@@ -12,30 +13,23 @@
  * model, not of the shard count or of thread scheduling. This is the
  * tie-break contract the parallel differential tests rely on.
  *
- * Three execution modes share that one total order:
+ * Two execution modes share that one total order:
  *
  *  - serial (shards == 1, the default and the oracle): a single binary
- *    heap pops events in key order, exactly as before.
- *  - sharded deterministic (shards > 1): nodes are partitioned into
- *    lanes by the pure function laneOf(node) = node % shards; each lane
- *    owns a heap, and a single thread merges the lane fronts in key
- *    order while advancing conservative time windows. Cross-lane events
- *    at or beyond the next window barrier travel through per-lane-pair
- *    mailboxes drained at the barrier. Works for every model (faults,
- *    recovery, audit included) because same-window cross-lane events
- *    are simply executed in exact key order.
- *  - sharded threaded (shards > 1, ShardPlan::threaded): one worker
- *    thread per lane executes its lane's events inside the current
- *    window concurrently with the other lanes. The window width is the
- *    conservative lookahead (no cross-node message can arrive sooner
- *    than the NIC round-trip floor allows), so lanes never need each
- *    other mid-window; cross-lane events are exchanged only at window
- *    barriers through the phase-separated mailboxes. A cross-lane
- *    event scheduled *inside* the current window is a lookahead
- *    violation and panics. Identical results to the serial oracle
- *    follow from the shard-invariant key order plus lane-disjoint
- *    model state (the runner certifies specs before enabling this
- *    mode; see DESIGN.md section 11).
+ *    heap pops events in key order. Every model runs here.
+ *  - threaded (shards > 1): nodes are partitioned into lanes by the
+ *    pure function laneOf(node) = node % shards; each lane owns a heap
+ *    and one worker thread, which executes the lane's events inside
+ *    the current conservative time window concurrently with the other
+ *    lanes. The window width is the lookahead (no cross-node message
+ *    can arrive sooner than the NIC round-trip floor allows), so lanes
+ *    never need each other mid-window; cross-lane events travel
+ *    through per-lane-pair mailboxes drained at the window barriers. A
+ *    cross-lane event scheduled *inside* the current window is a
+ *    lookahead violation and panics. Identical results to the serial
+ *    oracle follow from the shard-invariant key order plus
+ *    lane-disjoint model state (the runner certifies specs before
+ *    sharding them; see DESIGN.md section 11).
  *
  * Hot-path layout: the priority queue is a hand-managed binary heap of
  * 24-byte POD entries (when, key, slot, exec-node) over a contiguous
@@ -73,8 +67,8 @@ inline constexpr NodeId kControlNode = 0xffffffffu;
  * Thrown by protocol code that reaches a path the threaded executor
  * cannot run bit-identically (today: the global pessimistic-token
  * fallback). The per-context driver retires the context, the kernel
- * drains, and the runner transparently re-runs the spec through the
- * sharded deterministic executor, which handles every path.
+ * drains, and the runner transparently re-runs the spec on the serial
+ * kernel, which handles every path.
  */
 struct SerialRerunNeeded
 {
@@ -83,15 +77,14 @@ struct SerialRerunNeeded
 /** Sharding configuration handed to Kernel::configureSharding(). */
 struct ShardPlan
 {
-    /** Number of lanes; 1 keeps the serial oracle. */
+    /** Number of lanes (one worker thread each); 1 keeps the serial
+     *  oracle. */
     std::uint32_t shards = 1;
     /** Cluster size, for pre-sizing the per-node sequence streams. */
     std::uint32_t numNodes = 0;
     /** Conservative window width (the lookahead). @pre > 0 if
      *  shards > 1. */
     Tick windowTicks = 0;
-    /** Execute lanes on worker threads (certified specs only). */
-    bool threaded = false;
 };
 
 /** The DES scheduler. */
@@ -121,18 +114,17 @@ class Kernel
     }
 
     /**
-     * Select the sharded execution mode. Must be called before any
-     * event is scheduled (the runner configures right after building
-     * the System).
+     * Select the threaded execution mode (certified specs only). Must
+     * be called before any event is scheduled (the runner configures
+     * right after building the System).
      */
     void
     configureSharding(const ShardPlan &plan)
     {
-        always_assert(totalScheduled() == 0 && eventsRun_ == 0,
+        always_assert(totalScheduled() == 0,
                       "configureSharding on a kernel already in use");
         always_assert(plan.shards >= 1, "need at least one shard");
         shards_ = plan.shards;
-        threaded_ = plan.threaded && shards_ > 1;
         windowTicks_ = plan.windowTicks;
         if (shards_ > 1) {
             always_assert(windowTicks_ > 0,
@@ -171,7 +163,7 @@ class Kernel
     std::uint64_t
     eventsRun() const
     {
-        std::uint64_t n = eventsRun_;
+        std::uint64_t n = 0;
         for (const Lane &l : lanes_)
             n += l.eventsRun;
         return n;
@@ -203,8 +195,6 @@ class Kernel
 
     // --- Sharded-execution observability ---------------------------------
     std::uint32_t shards() const { return shards_; }
-    bool threaded() const { return threaded_; }
-    Tick windowTicks() const { return windowTicks_; }
     /** Window barriers crossed (== windows entered beyond the first). */
     std::uint64_t windowBarriers() const { return barriers_; }
     /** Events that crossed a lane boundary (mailbox traffic). */
@@ -224,8 +214,8 @@ class Kernel
         return threadedActive_.load(std::memory_order_relaxed);
     }
 
-    /** Ask the runner to redo this simulation on the deterministic
-     *  executor (see SerialRerunNeeded). */
+    /** Ask the runner to redo this simulation on the serial kernel
+     *  (see SerialRerunNeeded). */
     void
     requestSerialRerun()
     {
@@ -302,29 +292,16 @@ class Kernel
 
         const std::uint32_t dstLane = laneOf(exec, shards_);
         const std::uint32_t srcLane = c ? c->lane : dstLane;
-        if (shards_ > 1 && c && dstLane != srcLane) {
-            Lane &src = lanes_[srcLane];
-            ++src.crossShardOut;
-            if (threaded_) {
-                // Conservative lookahead: a cross-lane event may not
-                // land inside the window the lanes are executing.
-                always_assert(
-                    when >= windowEnd_,
-                    "lookahead violated: cross-shard event scheduled "
-                    "inside the current window");
-                mail_[srcLane][dstLane].push_back(
-                    Mail{when, key, exec, std::move(fn)});
-                return;
-            }
-            if (when >= windowEnd_) {
-                // Deterministic mode exercises the same barrier
-                // machinery for events beyond the window; same-window
-                // cross-lane events (legal here) go straight into the
-                // destination heap and execute in exact key order.
-                mail_[srcLane][dstLane].push_back(
-                    Mail{when, key, exec, std::move(fn)});
-                return;
-            }
+        if (srcLane != dstLane) {
+            ++lanes_[srcLane].crossShardOut;
+            // Conservative lookahead: a cross-lane event may not land
+            // inside the window the lanes are executing.
+            always_assert(when >= windowEnd_,
+                          "lookahead violated: cross-shard event "
+                          "scheduled inside the current window");
+            mail_[srcLane][dstLane].push_back(
+                Mail{when, key, exec, std::move(fn)});
+            return;
         }
         pushLane(lanes_[dstLane], when, key, exec, std::move(fn));
     }
@@ -337,11 +314,7 @@ class Kernel
     run(Tick maxTime = -1)
     {
         stopped_.store(false, std::memory_order_relaxed);
-        if (shards_ <= 1)
-            return runSerial(maxTime);
-        if (threaded_)
-            return runThreaded(maxTime);
-        return runShardedDet(maxTime);
+        return shards_ > 1 ? runThreaded(maxTime) : runSerial(maxTime);
     }
 
     /** Request that run() return after the current event completes. */
@@ -547,8 +520,7 @@ class Kernel
     }
 
     /** Move every mailbox item into its destination lane heap. Runs
-     *  single-threaded (deterministic merge loop or the coordinator
-     *  between threaded phases). */
+     *  on the coordinator alone, between threaded phases. */
     void
     drainMailboxes()
     {
@@ -560,15 +532,6 @@ class Kernel
                 row[dst].clear();
             }
         }
-    }
-
-    /** Cross one conservative window barrier. */
-    void
-    advanceWindow()
-    {
-        drainMailboxes();
-        windowEnd_ += windowTicks_;
-        ++barriers_;
     }
 
     // --- Serial oracle ----------------------------------------------------
@@ -589,46 +552,7 @@ class Kernel
         return l.heap.empty();
     }
 
-    // --- Sharded deterministic merge --------------------------------------
-    bool
-    runShardedDet(Tick maxTime)
-    {
-        ExecContext ctx{this, 0, now_, kControlNode};
-        CtxScope scope(&ctx);
-        while (!stoppedNow()) {
-            int best = -1;
-            for (std::size_t i = 0; i < lanes_.size(); ++i) {
-                if (lanes_[i].heap.empty())
-                    continue;
-                if (best < 0 || earlier(lanes_[i].heap.front(),
-                                        lanes_[best].heap.front()))
-                    best = int(i);
-            }
-            if (best < 0) {
-                if (!anyMail())
-                    break; // fully drained
-                // Conservative advance: one barrier per window, no
-                // skipping, so the barrier count matches the horizon.
-                advanceWindow();
-                continue;
-            }
-            const HeapEntry &top = lanes_[best].heap.front();
-            if (top.when >= windowEnd_) {
-                advanceWindow();
-                continue;
-            }
-            if (maxTime >= 0 && top.when > maxTime) {
-                now_ = maxTime;
-                return false;
-            }
-            ctx.lane = std::uint32_t(best);
-            execTop(lanes_[best], ctx);
-        }
-        now_ = ctx.now;
-        return empty();
-    }
-
-    // --- Sharded threaded execution ---------------------------------------
+    // --- Threaded execution ----------------------------------------------
     /** One lane's share of a window: execute own-heap events strictly
      *  inside the window, in key order. */
     void
@@ -707,13 +631,11 @@ class Kernel
     std::vector<std::uint64_t> seqByRank_;
 
     std::uint32_t shards_ = 1;
-    bool threaded_ = false;
     Tick windowTicks_ = 0;
     Tick windowEnd_ = 0;
     std::uint64_t barriers_ = 0;
 
     Tick now_ = 0;
-    std::uint64_t eventsRun_ = 0; //!< pre-sharding compatibility slot
     std::atomic<bool> stopped_{false};
     std::atomic<bool> threadedActive_{false};
     std::atomic<bool> rerunRequested_{false};

@@ -1,20 +1,18 @@
 /**
  * @file
- * Differential and property tests for the sharded parallel DES kernel
- * (PR 6 tentpole contract, widened by the PR 8 threaded messaging
- * path).
+ * Differential and property tests for the threaded parallel DES
+ * kernel.
  *
  * The contract under test: RunSpec::shards selects an *executor*, not
- * a model. Any shard count must reproduce the serial oracle's
- * RunResult bit-for-bit -- across engines, workloads, fault plans,
- * crash recovery, CM failover, and the correctness auditor. With the
- * messaging path lane-safe (per-lane NIC port state, window-delayed
- * cross-lane delivery), that same contract now extends to *worker
- * threads* for fault-free unaudited messaging workloads. The first
- * half of this file checks the window scheduler's own invariants on
- * synthetic event graphs; the second half runs the differential
- * matrices through the full simulator and compares FNV digests of the
- * complete result (src/core/result_hash.hh).
+ * a model. A spec the runner certifies for worker threads (fault-free,
+ * unaudited messaging workloads: per-lane NIC port state,
+ * window-delayed cross-lane delivery) must reproduce the serial
+ * oracle's RunResult bit-for-bit at any shard count; every other spec
+ * runs on the serial kernel itself. The first half of this file checks
+ * the window scheduler's own invariants on synthetic event graphs; the
+ * second half runs the differential matrices through the full
+ * simulator and compares FNV digests of the complete result
+ * (src/core/result_hash.hh).
  */
 
 #include <gtest/gtest.h>
@@ -42,13 +40,12 @@ using hades::core::hashResult;
 
 void
 configureSharded(sim::Kernel &k, std::uint32_t shards,
-                 std::uint32_t nodes, Tick window, bool threaded)
+                 std::uint32_t nodes, Tick window)
 {
     sim::ShardPlan plan;
     plan.shards = shards;
     plan.numNodes = nodes;
     plan.windowTicks = window;
-    plan.threaded = threaded;
     k.configureSharding(plan);
 }
 
@@ -70,63 +67,18 @@ TEST(ShardProperty, LaneAssignmentIsAPureFunctionOfNodeId)
     }
 }
 
-TEST(ShardProperty, NoEventRunsBeforeALowerTimestampCrossShardEvent)
-{
-    // A pseudo-random event cascade that hops nodes (and therefore
-    // lanes) on every step, with deltas straddling the window size so
-    // both the same-window direct path and the mailbox path are
-    // exercised. The deterministic merge must still execute the
-    // global event set in nondecreasing time order.
-    constexpr Tick kWindow = 100;
-    constexpr std::uint32_t kNodes = 8;
-    sim::Kernel k;
-    configureSharded(k, 4, kNodes, kWindow, false);
-
-    std::vector<Tick> execTimes;
-    std::uint64_t lcg = 12345;
-    auto nextDelta = [&lcg]() {
-        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-        return Tick(1 + (lcg >> 33) % 250); // 1..250, window is 100
-    };
-
-    std::function<void(NodeId, int)> hop = [&](NodeId node, int depth) {
-        EXPECT_EQ(k.currentNode(), node);
-        execTimes.push_back(k.now());
-        if (depth >= 6)
-            return;
-        // Fan out to two other nodes; most hops change lanes.
-        for (int i = 1; i <= 2; ++i) {
-            NodeId dst = NodeId((node * 5 + i * 3 + depth) % kNodes);
-            k.scheduleAs(dst, nextDelta(),
-                         [&hop, dst, depth] { hop(dst, depth + 1); });
-        }
-    };
-
-    for (NodeId n = 0; n < kNodes; ++n)
-        k.scheduleAs(n, Tick(1 + n), [&hop, n] { hop(n, 0); });
-
-    EXPECT_TRUE(k.run());
-    ASSERT_GT(execTimes.size(), 100u);
-    for (std::size_t i = 1; i < execTimes.size(); ++i)
-        ASSERT_LE(execTimes[i - 1], execTimes[i])
-            << "event " << i << " ran before a lower-timestamp event "
-            << "(cross-shard merge violated global time order)";
-    EXPECT_GT(k.crossShardEvents(), 0u)
-        << "the cascade never actually changed lanes";
-    EXPECT_EQ(k.eventsRun(), execTimes.size());
-}
-
 TEST(ShardProperty, BarrierCountMatchesHorizonOverWindow)
 {
-    // Conservative no-skip advancement: the deterministic executor
-    // crosses every window boundary between 0 and the last event time
-    // exactly once, so windowBarriers() == floor(lastWhen / window)
+    // Conservative no-skip advancement: the threaded executor crosses
+    // every window boundary between 0 and the last event time exactly
+    // once, so windowBarriers() == floor(lastWhen / window)
     // (equivalently, the final window end is the least multiple of the
-    // window strictly above the horizon).
+    // window strictly above the horizon). Every hop changes lanes, so
+    // the step must be at least the window (the lookahead).
     for (Tick window : {Tick(64), Tick(100), Tick(1000)}) {
-        for (Tick step : {Tick(37), Tick(100), Tick(250)}) {
+        for (Tick step : {window, window + 37, 5 * window / 2}) {
             sim::Kernel k;
-            configureSharded(k, 2, 2, window, false);
+            configureSharded(k, 2, 2, window);
             constexpr int kHops = 25;
             int hops = 0;
             std::function<void()> ping = [&] {
@@ -154,7 +106,7 @@ TEST(ShardProperty, ThreadedCrossShardDeliveryIsExactlyOnceAndOrdered)
     constexpr Tick kWindow = 100;
     constexpr int kHops = 12;
     sim::Kernel k;
-    configureSharded(k, 2, 2, kWindow, true);
+    configureSharded(k, 2, 2, kWindow);
 
     std::vector<std::pair<NodeId, Tick>> trace;
     int hops = 0;
@@ -187,7 +139,7 @@ TEST(ShardProperty, ThreadedAllToAllMailboxesDeliverExactlyOnceInOrder)
     constexpr std::uint32_t kNodes = 8;
     constexpr int kRounds = 10;
     sim::Kernel k;
-    configureSharded(k, 4, kNodes, kWindow, true);
+    configureSharded(k, 4, kNodes, kWindow);
 
     struct Delivery
     {
@@ -270,7 +222,7 @@ TEST(ShardProperty, PerLaneNicPortStateIsIsolatedAcrossExecutors)
     auto runOnce = [&](bool threaded) {
         sim::Kernel k;
         if (threaded)
-            configureSharded(k, 4, kNodes, cfg.netRoundTrip / 2, true);
+            configureSharded(k, 4, kNodes, cfg.netRoundTrip / 2);
         net::Network net(k, cfg);
         Snapshot s;
         s.arrivals.resize(kNodes);
@@ -325,7 +277,7 @@ TEST(ShardPropertyDeathTest, ThreadedLookaheadViolationIsRefused)
     EXPECT_DEATH(
         {
             sim::Kernel k;
-            configureSharded(k, 2, 2, Tick(100), true);
+            configureSharded(k, 2, 2, Tick(100));
             k.scheduleAs(0, 10, [&k] {
                 // now=10, window end=100: a hop landing at 20 is
                 // inside the window -> lookahead violation.
@@ -334,168 +286,6 @@ TEST(ShardPropertyDeathTest, ThreadedLookaheadViolationIsRefused)
             k.run();
         },
         "lookahead violated");
-}
-
-// ===========================================================================
-// Differential harness: serial oracle vs --shards {2,4,8}
-// ===========================================================================
-
-/** Run @p spec serially and at shard counts {2,4,8}; every result
- *  must hash identical to the oracle. */
-void
-expectShardInvariant(const core::RunSpec &spec, const char *tag)
-{
-    const auto oracle = core::runOne(spec);
-    const auto want = hashResult(oracle);
-    EXPECT_EQ(oracle.shardsUsed, 1u);
-    for (std::uint32_t shards : {2u, 4u, 8u}) {
-        auto sharded = spec;
-        sharded.shards = shards;
-        const auto res = core::runOne(sharded);
-        EXPECT_EQ(hashResult(res), want)
-            << tag << ": shards=" << shards
-            << " diverged from the serial oracle (committed="
-            << res.stats.committed << " vs " << oracle.stats.committed
-            << ", simTime=" << res.simTime << " vs " << oracle.simTime
-            << ")";
-        EXPECT_EQ(res.shardsUsed,
-                  std::min(shards, spec.cluster.numNodes));
-        EXPECT_GT(res.shardWindows + res.crossShardEvents, 0u)
-            << tag << ": the sharded run never exercised the "
-            << "cross-shard machinery";
-    }
-}
-
-/** Small four-node spec sized like the golden matrix. */
-core::RunSpec
-matrixSpec(protocol::EngineKind engine, workload::AppKind app,
-           bool faults, bool audit)
-{
-    core::RunSpec spec;
-    spec.engine = engine;
-    spec.mix = {core::MixEntry{app, kvs::StoreKind::HashTable}};
-    spec.cluster.numNodes = 4;
-    spec.cluster.coresPerNode = 2;
-    spec.cluster.slotsPerCore = 2;
-    spec.txnsPerContext = 8;
-    spec.scaleKeys = 4000;
-    spec.audit = audit;
-    if (faults) {
-        spec.cluster.faults.enabled = true;
-        spec.cluster.faults.dropAll(0.02);
-        spec.cluster.faults.dupAll(0.01);
-        spec.cluster.faults.delayAll(0.02);
-    }
-    return spec;
-}
-
-class ShardDifferential
-    : public ::testing::TestWithParam<protocol::EngineKind>
-{};
-
-TEST_P(ShardDifferential, EngineWorkloadFaultAuditMatrix)
-{
-    for (auto app : {workload::AppKind::YcsbA, workload::AppKind::Tpcc})
-        for (bool faults : {false, true})
-            for (bool audit : {false, true})
-                expectShardInvariant(
-                    matrixSpec(GetParam(), app, faults, audit),
-                    "matrix");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllEngines, ShardDifferential,
-    ::testing::Values(protocol::EngineKind::Baseline,
-                      protocol::EngineKind::HadesHybrid,
-                      protocol::EngineKind::Hades),
-    [](const auto &info) {
-        switch (info.param) {
-          case protocol::EngineKind::Baseline:
-            return std::string("Baseline");
-          case protocol::EngineKind::Hades:
-            return std::string("Hades");
-          default:
-            return std::string("HadesH");
-        }
-    });
-
-/** Five-node replicated cluster with recovery armed (the spec family
- *  the crash/partition/CM scenarios below perturb). */
-core::RunSpec
-recoverySpec(protocol::EngineKind engine)
-{
-    core::RunSpec spec;
-    spec.engine = engine;
-    spec.cluster.numNodes = 5;
-    spec.cluster.coresPerNode = 2;
-    spec.cluster.slotsPerCore = 2;
-    spec.cluster.tuning.retryTimeoutBase = us(4);
-    spec.cluster.tuning.retryTimeoutCap = us(32);
-    spec.cluster.tuning.maxCommitResends = 6;
-    spec.mix = {core::MixEntry{workload::AppKind::Smallbank,
-                               kvs::StoreKind::HashTable}};
-    spec.txnsPerContext = 8;
-    spec.scaleKeys = 4000;
-    spec.replication.degree = 2;
-    spec.cluster.faults.enabled = true;
-    spec.cluster.recovery.enabled = true;
-    return spec;
-}
-
-void
-addCrash(core::RunSpec &spec, NodeId victim, Tick at)
-{
-    FaultConfig::NodeEvent ev;
-    ev.node = victim;
-    ev.at = at;
-    ev.crash = true;
-    ev.forever = true;
-    spec.cluster.faults.nodeEvents.push_back(ev);
-}
-
-TEST(ShardDifferentialRecovery, CrashForeverViewChangeMatchesSerial)
-{
-    // A permanent mid-run crash drives the whole recovery pipeline --
-    // lease expiry, view change, backup promotion, in-doubt
-    // resolution -- and all of it must shard bit-identically.
-    auto spec = recoverySpec(protocol::EngineKind::Hades);
-    addCrash(spec, 2, us(30));
-    const auto oracle = core::runOne(spec);
-    EXPECT_EQ(oracle.viewChanges, 1u)
-        << "spec no longer exercises the view-change path";
-    expectShardInvariant(spec, "crash-forever");
-}
-
-TEST(ShardDifferentialRecovery, PartitionWindowMatchesSerial)
-{
-    // A healed symmetric partition: retransmits pile up against the
-    // window, then drain. The retry machinery is timer-heavy (control
-    // events against data-node events), a prime tie-break hazard.
-    auto spec = recoverySpec(protocol::EngineKind::Hades);
-    FaultConfig::PartitionWindow w;
-    w.edges.emplace_back(NodeId(1), NodeId(3));
-    w.symmetric = true;
-    w.at = us(20);
-    w.until = us(60);
-    spec.cluster.faults.partitions.push_back(w);
-    const auto oracle = core::runOne(spec);
-    EXPECT_GT(oracle.partitionDrops, 0u)
-        << "spec no longer exercises the partition path";
-    expectShardInvariant(spec, "partition-window");
-}
-
-TEST(ShardDifferentialRecovery, CmFailoverMatchesSerial)
-{
-    // Killing the acting CM primary (node 0) forces the standby
-    // succession before the ordinary view change; the CM group's
-    // control traffic all runs on the control rank, which every
-    // executor must order identically against data events.
-    auto spec = recoverySpec(protocol::EngineKind::Hades);
-    addCrash(spec, 0, us(25));
-    const auto oracle = core::runOne(spec);
-    EXPECT_EQ(oracle.cmFailovers, 1u)
-        << "spec no longer exercises the CM-failover path";
-    expectShardInvariant(spec, "cm-failover");
 }
 
 // ===========================================================================
@@ -527,10 +317,10 @@ messagingSpec(protocol::EngineKind engine,
 }
 
 /**
- * The PR 8 tentpole contract, per spec: the run must certify for
- * worker threads, and at shard counts {2,4,8} the threaded result, a
- * threaded re-run (scheduling-jitter determinism), and the
- * deterministic merge must all hash identical to the serial oracle.
+ * The threaded-messaging contract, per spec: the run must certify for
+ * worker threads, and at shard counts {2,4,8} the threaded result and
+ * a threaded re-run (scheduling-jitter determinism) must both hash
+ * identical to the serial oracle.
  */
 void
 expectThreadedMessagingInvariant(const core::RunSpec &spec,
@@ -559,13 +349,6 @@ expectThreadedMessagingInvariant(const core::RunSpec &spec,
         EXPECT_EQ(hashResult(rerun), want)
             << tag << ": threaded shards=" << shards
             << " is not deterministic across runs";
-        auto det = sharded;
-        det.cluster.sharding.forceDeterministic = true;
-        const auto merged = core::runOne(det);
-        EXPECT_FALSE(merged.shardsThreaded);
-        EXPECT_EQ(hashResult(merged), want)
-            << tag << ": deterministic merge disagrees at shards="
-            << shards;
     }
 }
 
@@ -649,18 +432,6 @@ TEST(ShardThreaded, CertifiedRunUsesThreadsAndMatchesSerial)
     }
 }
 
-TEST(ShardThreaded, ForceDeterministicDisablesWorkerThreads)
-{
-    auto spec = certifiedSpec(workload::AppKind::Tpcc);
-    const auto want = hashResult(core::runOne(spec));
-    spec.cluster.sharding.forceDeterministic = true;
-    spec.shards = 4;
-    const auto res = core::runOne(spec);
-    EXPECT_FALSE(res.shardsThreaded);
-    EXPECT_EQ(res.shardsUsed, 4u);
-    EXPECT_EQ(hashResult(res), want);
-}
-
 TEST(ShardThreaded, AdmittedShapesRunThreadedWithoutSerialRerun)
 {
     // Certification soundness, admitting side: every spec shape the
@@ -700,10 +471,10 @@ TEST(ShardThreaded, AdmittedShapesRunThreadedWithoutSerialRerun)
 TEST(ShardThreaded, DecertifiedShapesStayOffThreadsAndMatchSerial)
 {
     // Certification soundness, refusing side: each decertifying flag
-    // keeps worker threads off, and the run falls back to the
-    // deterministic executor transparently -- reproducing the serial
-    // oracle bit-for-bit with no SerialRerunNeeded retry (the static
-    // gate, not the runtime escape hatch, must catch these).
+    // keeps worker threads off, and the run falls back to the serial
+    // kernel transparently -- one lane, no window barriers, the serial
+    // oracle's result bit-for-bit, and no SerialRerunNeeded retry (the
+    // static gate, not the runtime escape hatch, must catch these).
     using Mutate = std::function<void(core::RunSpec &)>;
     const std::pair<const char *, Mutate> shapes[] = {
         {"audit", [](core::RunSpec &s) { s.audit = true; }},
@@ -722,10 +493,6 @@ TEST(ShardThreaded, DecertifiedShapesStayOffThreadsAndMatchSerial)
          [](core::RunSpec &s) { s.replication.degree = 2; }},
         {"fractional-locality",
          [](core::RunSpec &s) { s.cluster.forcedLocalFraction = 0.5; }},
-        {"force-deterministic",
-         [](core::RunSpec &s) {
-             s.cluster.sharding.forceDeterministic = true;
-         }},
     };
     for (const auto &[name, mutate] : shapes) {
         auto spec = messagingSpec(
@@ -740,11 +507,14 @@ TEST(ShardThreaded, DecertifiedShapesStayOffThreadsAndMatchSerial)
         const auto res = core::runOne(sharded);
         EXPECT_FALSE(res.shardsThreaded)
             << name << " must decertify the spec";
+        EXPECT_EQ(res.shardsUsed, 1u)
+            << name << ": a decertified spec must run serially";
+        EXPECT_EQ(res.shardWindows, 0u) << name;
         EXPECT_FALSE(res.serialRerun)
             << name << " should be caught statically, not via the "
             << "runtime rerun";
         EXPECT_EQ(hashResult(res), want)
-            << name << ": deterministic fallback diverged";
+            << name << ": serial fallback diverged";
     }
 }
 
@@ -752,7 +522,7 @@ TEST(ShardThreaded, LockModeFallbackTriggersDeterministicRerun)
 {
     // Brutal contention forces the pessimistic lock-mode path, which
     // the threaded executor refuses: the run must be transparently
-    // redone on the deterministic executor and still match the oracle.
+    // redone on the serial kernel and still match the oracle.
     auto spec = certifiedSpec(workload::AppKind::Tpcc);
     spec.scaleKeys = 64;
     spec.cluster.tuning.maxSquashesBeforeLockMode = 1;
@@ -765,13 +535,23 @@ TEST(ShardThreaded, LockModeFallbackTriggersDeterministicRerun)
     EXPECT_TRUE(res.serialRerun)
         << "the threaded executor silently ran the lock-mode path";
     EXPECT_FALSE(res.shardsThreaded);
+    EXPECT_EQ(res.shardsUsed, 1u);
+    EXPECT_EQ(res.shardWindows, 0u);
     EXPECT_EQ(hashResult(res), want);
 }
 
 TEST(ShardThreaded, ShardCountClampsToClusterSize)
 {
-    auto spec = matrixSpec(protocol::EngineKind::Hades,
-                           workload::AppKind::YcsbA, false, false);
+    core::RunSpec spec;
+    spec.engine = protocol::EngineKind::Hades;
+    spec.mix = {core::MixEntry{workload::AppKind::YcsbA,
+                               kvs::StoreKind::HashTable}};
+    spec.cluster.numNodes = 4;
+    spec.cluster.coresPerNode = 2;
+    spec.cluster.slotsPerCore = 2;
+    spec.txnsPerContext = 8;
+    spec.scaleKeys = 4000;
+    spec.audit = false;
     const auto want = hashResult(core::runOne(spec));
     spec.shards = 64; // 4-node cluster
     const auto res = core::runOne(spec);

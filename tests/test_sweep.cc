@@ -128,11 +128,13 @@ TEST(Sweep, ShardDimensionIsResultInvariantAcrossTheMatrix)
     // regardless of how many sweep workers carry the runs. Kernel
     // worker threads (inside a run) compose with sweep worker threads
     // (across runs) here, which also makes this the TSan lane's probe
-    // for the combination.
+    // for the combination. Auditing would keep the runs off worker
+    // threads, so it stays off whatever the build's default.
     std::vector<core::RunSpec> specs;
     for (std::uint64_t s = 0; s < 4; ++s)
         for (std::uint32_t shards : {1u, 2u, 4u}) {
             auto spec = tinySpec(s);
+            spec.audit = false;
             spec.shards = shards;
             specs.push_back(spec);
         }

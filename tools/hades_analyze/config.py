@@ -20,8 +20,8 @@ A1_TARGET_DIRS = ("src/protocol", "src/net", "src/recovery",
 
 # Subsystems the runner's threaded certification statically excludes
 # (DESIGN.md section 11: faults, recovery, replication, and audit all
-# force the deterministic sharded executor), so their state is never
-# touched by concurrent lanes.
+# keep a spec on the serial kernel), so their state is never touched
+# by concurrent lanes.
 A1_UNCERTIFIED_DIRS = ("src/recovery", "src/replica", "src/fault",
                        "src/audit", "src/fuzz")
 

@@ -6,7 +6,7 @@ also publish extra machine-readable artifacts on the returned Report.
 A note on A1 soundness: Network::refuseIfThreaded and
 TxnEngine::ensureSerialForLockMode throw sim::SerialRerunNeeded, and
 core::runOne then discards the ENTIRE threaded attempt and redoes the
-spec on the deterministic executor (runner.cc). Gate coverage is
+spec on the serial kernel (runner.cc). Gate coverage is
 therefore sound run-wide and flow-insensitively: if executing a
 function guarantees a gate fires somewhere in the same run, every
 write of that run is discarded whenever the run was threaded. Coverage
