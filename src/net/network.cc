@@ -32,9 +32,10 @@ msgTypeName(MsgType t)
         return "ViewChange";
       case MsgType::Migrate:
         return "Migrate";
-      default:
-        return "?";
+      case MsgType::NumTypes:
+        break;
     }
+    return "?";
 }
 
 Network::Network(sim::Kernel &kernel, const ClusterConfig &cfg)

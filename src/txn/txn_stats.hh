@@ -45,9 +45,10 @@ overheadName(Overhead o)
         return "RdBeforeWr";
       case Overhead::ConflictDetection:
         return "ConflictDetection";
-      default:
-        return "?";
+      case Overhead::NumCategories:
+        break;
     }
+    return "?";
 }
 
 /** Why a transaction attempt was squashed. */
@@ -93,9 +94,10 @@ squashReasonName(SquashReason r)
         return "StalePlacement";
       case SquashReason::Shed:
         return "Shed";
-      default:
-        return "?";
+      case SquashReason::NumReasons:
+        break;
     }
+    return "?";
 }
 
 /** Aggregate statistics for one engine over one simulation. */

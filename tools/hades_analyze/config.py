@@ -55,16 +55,7 @@ A1_SETUP_FUNC_RE = re.compile(
 A1_RUNNER_FILES = ("src/core/",)
 A1_RUNNER_EXCEPT = {"driveContext"}
 
-# --- A2 verb totality -------------------------------------------------------
-
-# Enums whose switches must enumerate every member explicitly (a
-# `default:` does not excuse a missing case -- adding a verb must
-# break loudly, which is the point of the rule).
-A2_TOTAL_ENUMS = {"MsgType", "SquashReason", "Overhead", "EngineKind",
-                  "AppKind", "StoreKind"}
-
-# Enumerators acting as count sentinels, never real cases.
-A2_SENTINEL_RE = re.compile(r"^Num[A-Z]\w*$")
+# --- A2 verb reliability ----------------------------------------------------
 
 # One-way posts of these verbs are protocol-level replies/confirms:
 # the *sender of the original message* owns the retry (commit-fanout
@@ -178,7 +169,7 @@ SUPPRESS_RE = re.compile(
     r"hades-analyze:\s*([a-z0-9-]+)-ok(?:\s*\(([^)]*)\))?")
 
 ALL_RULES = (
-    "lane-escape", "verb-totality", "verb-reliability", "epoch-fence",
+    "lane-escape", "verb-reliability", "epoch-fence",
     "telemetry", "unordered-iter", "pointer-order", "rng", "wall-clock",
     "thread-identity", "float-control", "suppression",
 )

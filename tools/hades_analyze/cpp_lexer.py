@@ -1,4 +1,4 @@
-"""C++ tokenizer for the fallback frontend.
+"""C++ tokenizer for the structural parser (parse_fallback).
 
 Produces a flat token stream with line numbers, plus the per-line
 comment text (needed for suppression markers). This is not a general

@@ -1,9 +1,8 @@
-"""hades-analyze driver: frontend selection, rule execution, reports.
+"""hades-analyze driver: parsing, rule execution, reports.
 
 Usage (from the repo root):
-    python3 -m tools.hades_analyze --repo . [--frontend auto|clang|fallback]
-        [--json out.json] [--inventory lane_escape_inventory.json]
-        [--ast-cache build/hades-analyze-cache] [--rules r1,r2,...]
+    python3 -m tools.hades_analyze --repo . [--json out.json]
+        [--inventory lane_escape_inventory.json] [--rules r1,r2,...]
 
 Exit status: 0 when no unsuppressed finding, 1 otherwise, 2 on usage
 or environment errors.
@@ -12,13 +11,11 @@ or environment errors.
 import argparse
 import json
 import os
-import shutil
 import sys
 
 from . import config as C
 from .model import Index
 from . import parse_fallback
-from . import parse_clang
 from . import rules as R
 
 
@@ -33,33 +30,9 @@ def collect_sources(repo):
     return sorted(out)
 
 
-def pick_frontend(choice, repo):
-    if choice == "fallback":
-        return "fallback"
-    have_clang = shutil.which("clang++") is not None
-    have_db = os.path.exists(
-        os.path.join(repo, "build", "compile_commands.json"))
-    if choice == "clang":
-        if not have_clang:
-            raise SystemExit("hades-analyze: --frontend=clang but no "
-                             "clang++ on PATH")
-        return "clang"
-    return "clang" if (have_clang and have_db) else "fallback"
-
-
-def build_index(repo, frontend, paths, cache_dir):
-    files = []
-    for rel in paths:
-        full = os.path.join(repo, rel)
-        if frontend == "clang":
-            ir = parse_clang.parse_file(full, rel, repo=repo,
-                                        cache_dir=cache_dir)
-            if ir is None:       # not in the compile db (headers):
-                ir = parse_fallback.parse_file(full, rel)
-        else:
-            ir = parse_fallback.parse_file(full, rel)
-        files.append(ir)
-    idx = Index(files)
+def build_index(repo, paths):
+    idx = Index([parse_fallback.parse_file(os.path.join(repo, rel), rel)
+                 for rel in paths])
     idx.repo = repo
     return idx
 
@@ -76,8 +49,6 @@ def run_rules(index, selected):
         f, inv = R.rule_lane_escape(index, supp)
         findings += f
         report["inventory"] = inv
-    if want("verb-totality"):
-        findings += R.rule_verb_totality(index, supp)
     if want("verb-reliability"):
         f, verbs = R.rule_verb_reliability(index, supp)
         findings += f
@@ -105,13 +76,9 @@ def run_rules(index, selected):
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="hades-analyze")
     ap.add_argument("--repo", default=".")
-    ap.add_argument("--frontend", default="auto",
-                    choices=("auto", "clang", "fallback"))
     ap.add_argument("--json", help="write findings + verb map as JSON")
     ap.add_argument("--inventory",
                     help="write the lane-escape inventory JSON")
-    ap.add_argument("--ast-cache",
-                    help="directory for sha256-keyed clang AST dumps")
     ap.add_argument("--rules",
                     help="comma-separated subset of rules to run")
     ap.add_argument("--quiet", action="store_true")
@@ -127,14 +94,12 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
 
-    frontend = pick_frontend(args.frontend, repo)
     paths = collect_sources(repo)
-    index = build_index(repo, frontend, paths, args.ast_cache)
+    index = build_index(repo, paths)
     findings, report = run_rules(index, selected)
 
     if not args.quiet:
-        print("hades-analyze: frontend=%s files=%d" %
-              (frontend, len(paths)))
+        print("hades-analyze: files=%d" % len(paths))
         for f in findings:
             print("%s:%d: [%s] %s" % (f.file, f.line, f.rule, f.message))
             if f.detail:
@@ -149,7 +114,6 @@ def main(argv=None):
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({
-                "frontend": frontend,
                 "findings": [vars(f) for f in findings],
                 "verbs": report["verbs"],
                 "unresolved_ranges": report["unresolved_ranges"],

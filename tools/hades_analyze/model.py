@@ -1,21 +1,11 @@
-"""Semantic IR shared by the clang and fallback frontends.
+"""Semantic IR that parse_fallback produces and the rules query.
 
 The IR is deliberately *spelling-oriented*: rules match on qualified
-names and expression spellings, not on resolved clang type objects, so
-both frontends can populate it faithfully. Every entity carries its
-file and line for reporting and suppression lookup.
+names and expression spellings, not on resolved types. Every entity
+carries its file and line for reporting and suppression lookup.
 """
 
 from dataclasses import dataclass, field
-
-
-@dataclass
-class EnumInfo:
-    name: str               # qualified-ish, e.g. 'hades::net::MsgType'
-    members: list           # enumerator names in declaration order
-    file: str = ""
-    line: int = 0
-    scoped: bool = True
 
 
 @dataclass
@@ -27,7 +17,6 @@ class FieldInfo:
     line: int = 0
     is_static: bool = False
     is_const: bool = False
-    is_mutable: bool = False
 
 
 @dataclass
@@ -68,20 +57,8 @@ class CallSite:
 
 
 @dataclass
-class SwitchInfo:
-    cond: str               # condition spelling
-    cond_enum: str = ""     # resolved enum qualified name, if known
-    cases: list = field(default_factory=list)  # case label spellings
-    has_default: bool = False
-    file: str = ""
-    line: int = 0
-    func: str = ""
-
-
-@dataclass
 class RangedFor:
     range_expr: str         # spelling of the range expression
-    range_type: str = ""    # resolved type when the frontend knows it
     file: str = ""
     line: int = 0
     func: str = ""
@@ -112,7 +89,6 @@ class FunctionInfo:
     params: list = field(default_factory=list)      # VarDecl
     writes: list = field(default_factory=list)      # WriteSite
     calls: list = field(default_factory=list)       # CallSite
-    switches: list = field(default_factory=list)    # SwitchInfo
     ranged_fors: list = field(default_factory=list) # RangedFor
     comparisons: list = field(default_factory=list) # Comparison
     locals: list = field(default_factory=list)      # VarDecl
@@ -140,7 +116,6 @@ class Alias:
 @dataclass
 class FileIR:
     path: str               # repo-relative, posix
-    enums: list = field(default_factory=list)
     classes: list = field(default_factory=list)
     functions: list = field(default_factory=list)
     aliases: list = field(default_factory=list)
@@ -153,7 +128,6 @@ class Index:
 
     def __init__(self, files):
         self.files = files  # list[FileIR]
-        self.enums = {}     # short and qualified name -> EnumInfo
         self.classes = {}   # short and qualified name -> ClassInfo
         self.fields_by_name = {}  # field name -> [FieldInfo]
         self.aliases = {}   # alias name -> target spelling
@@ -161,9 +135,6 @@ class Index:
         self.func_by_name = {}    # qualified name -> [FunctionInfo]
         self.comments = {}  # (path, line) -> comment text
         for f in files:
-            for e in f.enums:
-                self.enums[e.name] = e
-                self.enums.setdefault(e.name.split("::")[-1], e)
             for c in f.classes:
                 self.classes[c.name] = c
                 self.classes.setdefault(c.name.split("::")[-1], c)
@@ -194,7 +165,7 @@ class Index:
 
 @dataclass
 class Finding:
-    rule: str               # 'lane-escape', 'verb-totality', ...
+    rule: str               # 'lane-escape', 'verb-reliability', ...
     file: str
     line: int
     message: str

@@ -1,19 +1,17 @@
 """Built-in C++ structural parser producing the hades-analyze IR.
 
-Used when clang is not installed (the dev container ships only g++).
 It is a *structural* parser, not a full C++ frontend: it tracks
 namespace/class/function nesting by brace matching, recognizes the
 declaration forms this codebase actually uses, and extracts exactly the
-facts the rules consume (fields, writes, calls, switches, ranged-fors,
-comparisons, locals, lambdas). The clang frontend (parse_clang.py)
-produces the same IR from real AST dumps; fixture tests assert both
-frontends agree rule by rule.
+facts the rules consume (fields, writes, calls, ranged-fors,
+comparisons, locals, lambdas). It needs no compiler, so the analyzer
+runs anywhere Python does; the fixture suite pins every rule to it.
 """
 
 from .cpp_lexer import lex
 from .model import (
-    Alias, CallSite, ClassInfo, Comparison, EnumInfo, FieldInfo, FileIR,
-    FunctionInfo, RangedFor, SwitchInfo, VarDecl, WriteSite,
+    Alias, CallSite, ClassInfo, Comparison, FieldInfo, FileIR,
+    FunctionInfo, RangedFor, VarDecl, WriteSite,
 )
 
 # Container methods that mutate their receiver.
@@ -130,7 +128,7 @@ class Parser:
                 i = self.parse_namespace(i, ns, cls)
                 continue
             if t == "enum":
-                i = self.parse_enum(i, ns)
+                i = self.skip_enum(i)
                 continue
             if t in ("class", "struct") and self.is_class_def(i):
                 i = self.parse_class(i, ns, cls)
@@ -176,44 +174,15 @@ class Parser:
         self.parse_scope(j + 1, close - 1, ns + name_parts, cls)
         return close
 
-    def parse_enum(self, i, ns):
+    def skip_enum(self, i):
+        """Skip an enum declaration: no rule reads enumerators (the
+        compiler checks switch totality)."""
         j = i + 1
-        if self.text(j) in ("class", "struct"):
-            scoped = True
-            j += 1
-        else:
-            scoped = False
-        if self.tk(j) is None or self.tk(j).kind != "id":
-            return self.skip_statement(j)
-        name = self.text(j)
-        line = self.tk(j).line
-        j += 1
         while self.text(j) not in ("{", ";") and j < self.n:
             j += 1
         if self.text(j) != "{":
             return j + 1  # forward declaration
-        close = self.match_forward(j, "{", "}")
-        members = []
-        k = j + 1
-        expect_name = True
-        depth = 0
-        while k < close - 1:
-            c = self.text(k)
-            if c in ("(", "[", "{"):
-                depth += 1
-            elif c in (")", "]", "}"):
-                depth -= 1
-            elif depth == 0:
-                if c == ",":
-                    expect_name = True
-                elif expect_name and self.tk(k).kind == "id":
-                    members.append(c)
-                    expect_name = False
-            k += 1
-        self.ir.enums.append(EnumInfo(
-            name="::".join(ns + [name]), members=members,
-            file=self.path, line=line, scoped=scoped))
-        return self.skip_statement(close)
+        return self.skip_statement(self.match_forward(j, "{", "}"))
 
     def is_class_def(self, i):
         """class/struct NAME [final] [: bases] { -- not a variable of
@@ -497,7 +466,7 @@ class Parser:
 
     # --- function bodies --------------------------------------------------
     def scan_body(self, i, end, fn):
-        """Extract writes/calls/switches/fors/comparisons/locals from a
+        """Extract writes/calls/fors/comparisons/locals from a
         body token range; lambdas recurse into child FunctionInfo."""
         j = i
         stmt_start = True
@@ -505,10 +474,6 @@ class Parser:
             c = self.text(j)
             k = self.tk(j).kind
 
-            if c == "switch" and self.text(j + 1) == "(":
-                j = self.scan_switch(j, end, fn)
-                stmt_start = True
-                continue
             if c == "for" and self.text(j + 1) == "(":
                 j = self.scan_for(j, end, fn)
                 stmt_start = True
@@ -592,37 +557,6 @@ class Parser:
                                              params_range[1] + 1, name)
         self.ir.functions.append(child)
         self.scan_body(k + 1, body_close - 1, child)
-        return body_close
-
-    def scan_switch(self, j, end, fn):
-        cond_close = self.match_forward(j + 1, "(", ")")
-        cond = spell(self.toks[j + 2:cond_close - 1])
-        line = self.tk(j).line
-        sw = SwitchInfo(cond=cond, file=self.path, line=line, func=fn.name)
-        k = cond_close
-        if self.text(k) != "{":
-            return cond_close
-        body_close = self.match_forward(k, "{", "}")
-        m = k + 1
-        depth = 0
-        while m < body_close - 1:
-            c = self.text(m)
-            if c in ("(", "[", "{"):
-                depth += 1
-            elif c in (")", "]", "}"):
-                depth -= 1
-            elif depth == 0 and c == "case":
-                lbl_end = m + 1
-                while self.text(lbl_end) != ":" and lbl_end < body_close:
-                    lbl_end += 1
-                sw.cases.append(spell(self.toks[m + 1:lbl_end]))
-                m = lbl_end
-            elif depth == 0 and c == "default" and self.text(m + 1) == ":":
-                sw.has_default = True
-            m += 1
-        fn.switches.append(sw)
-        # The switch body may contain nested constructs; scan it too.
-        self.scan_body(k + 1, body_close - 1, fn)
         return body_close
 
     def scan_for(self, j, end, fn):

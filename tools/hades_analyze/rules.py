@@ -413,7 +413,9 @@ def owner_class_of_write(index, resolver, fn, w, target_classes):
 def rule_lane_escape(index, supp):
     """A1: inventory every mutable field of the engine/network/recovery
     classes and prove each write is lane-confined; unexplained writes
-    are findings. Also returns the machine-readable inventory."""
+    are findings. Also returns the machine-readable inventory, which
+    names files but no lines (and lambdas without their line), so
+    moving code without changing it leaves the inventory as it was."""
     resolver = TypeResolver(index)
     context = compute_context(index)
 
@@ -463,7 +465,7 @@ def rule_lane_escape(index, supp):
             f_supp, f_just = supp.find(fld.file, fld.line, "lane-escape")
             ent[fld.name] = {
                 "type": fld.type_spelling,
-                "declared": "%s:%d" % (fld.file, fld.line),
+                "declared": fld.file,
                 "classification": classification,
                 "writes": [],
             }
@@ -497,8 +499,8 @@ def rule_lane_escape(index, supp):
                         C.A1_NODE_INDEX_RE.search(w.index_expr):
                     reason = "lane-sharded[%s]" % w.index_expr
             site = {
-                "at": "%s:%d" % (w.file, w.line),
-                "func": w.func,
+                "at": w.file,
+                "func": re.sub(r"<lambda:\d+>", "<lambda>", w.func),
                 "expr": w.expr,
                 "context": reason or "ESCAPE",
             }
@@ -531,60 +533,18 @@ def rule_lane_escape(index, supp):
                 "with lane-escape-ok or route it through a per-node "
                 "accessor" % w.expr))
 
-    for cname, ent in inventory.items():
-        for fname, rec in ent.items():
-            rec["writes"].sort(key=lambda s: s["at"])
+    def site_key(s):    # every field of a site: also its identity
+        return (s["at"], s["func"], s["expr"], s["context"],
+                s.get("justification", ""))
+
+    for ent in inventory.values():
+        for rec in ent.values():
+            unique = {site_key(s): s for s in rec["writes"]}
+            rec["writes"] = [unique[k] for k in sorted(unique)]
     return findings, inventory
 
 
-# --- A2: verb totality and reliability --------------------------------------
-
-def resolve_switch_enum(index, resolver, fn, sw):
-    if sw.cond_enum:            # the clang frontend resolves the type
-        return index.enums.get(sw.cond_enum.split("::")[-1])
-    for ename in C.A2_TOTAL_ENUMS:
-        if re.search(r"\b%s\b" % ename, sw.cond):
-            return index.enums.get(ename)
-    t = resolver.resolve(fn, sw.cond)
-    if t:
-        e = index.enums.get(t.split("<")[0].split("::")[-1].strip())
-        if e:
-            return e
-    return None
-
-
-def rule_verb_totality(index, supp):
-    """A2a: switches over protocol enums must name every member (a
-    default: clause does not excuse a hole -- new verbs must break
-    loudly)."""
-    resolver = TypeResolver(index)
-    findings = []
-    for fn in index.functions:
-        for sw in fn.switches:
-            e = resolve_switch_enum(index, resolver, fn, sw)
-            if e is None or e.name.split("::")[-1] not in C.A2_TOTAL_ENUMS:
-                continue
-            covered = set()
-            for lbl in sw.cases:
-                covered.add(lbl.split("::")[-1].strip())
-            missing = [m for m in e.members
-                       if not C.A2_SENTINEL_RE.match(m)
-                       and m not in covered]
-            if not missing:
-                continue
-            ok, _ = supp.find(sw.file, sw.line, "verb-totality")
-            if ok:
-                continue
-            findings.append(Finding(
-                "verb-totality", sw.file, sw.line,
-                "switch on %s misses: %s"
-                % (e.name.split("::")[-1], ", ".join(missing)),
-                "in %s%s; every enumerator needs an explicit case"
-                % (fn.name,
-                   " (default: present, which hides new verbs)"
-                   if sw.has_default else "")))
-    return findings
-
+# --- A2: verb reliability ---------------------------------------------------
 
 def post_verb(call):
     """MsgType verb named in a post/roundTrip call's arguments."""
@@ -596,7 +556,7 @@ def post_verb(call):
 
 
 def rule_verb_reliability(index, supp):
-    """A2b: every posted verb needs a registered delivery guarantee.
+    """A2: every posted verb needs a registered delivery guarantee.
     roundTrip is NIC-reliable (RC retransmission); reliablePost is the
     Ack-confirmed software path; a bare Network::post is only legal for
     protocol replies (Ack) or inside the reliability wrapper itself --
@@ -798,7 +758,7 @@ def rule_unordered_iter(index, supp):
     unresolved = 0
     for fn in index.functions:
         for rf in fn.ranged_fors:
-            t = rf.range_type or resolver.resolve(fn, rf.range_expr)
+            t = resolver.resolve(fn, rf.range_expr)
             if not t:
                 unresolved += 1
                 continue

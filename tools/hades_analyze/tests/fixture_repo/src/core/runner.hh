@@ -1,6 +1,7 @@
 // Telemetry (A4) fixture: result-struct members that are and are not
-// counter-table rows. The hand-declared row members stand in for what
-// the clang frontend sees after macro expansion.
+// counter-table rows. In the real tree row members come from the
+// table's macro expansion, which the parser skips; the hand-declared
+// row members here show that a member named by a ROW line passes.
 #pragma once
 
 #include <array>

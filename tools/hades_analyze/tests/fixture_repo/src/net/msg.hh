@@ -1,5 +1,4 @@
-// Verb-totality (A2) fixture enum. NumTypes is a count sentinel and
-// must never be required as a case.
+// Verb enum of the A2 reliability fixtures.
 #pragma once
 
 namespace fx::net

@@ -1,49 +1,10 @@
-// A2 fixtures: switch totality over MsgType and post reliability.
+// A2 fixtures: post reliability.
 #include "../net/msg.hh"
 
 namespace fx::protocol
 {
 
 using fx::net::MsgType;
-
-const char *
-missingCase(MsgType t)
-{
-    switch (t) { // EXPECT: verb-totality (misses Ack, RdmaWrite)
-    case MsgType::Prepare:
-        return "prepare";
-    default:
-        return "?";
-    }
-}
-
-const char *
-totalSwitch(MsgType t)
-{
-    switch (t) {
-    case MsgType::Prepare:
-        return "prepare";
-    case MsgType::Ack:
-        return "ack";
-    case MsgType::RdmaWrite:
-        return "write";
-    case MsgType::NumTypes:
-        break;
-    }
-    return "?";
-}
-
-const char *
-waivedSwitch(MsgType t)
-{
-    // hades-analyze: verb-totality-ok (fixture: intentionally partial)
-    switch (t) {
-    case MsgType::Ack:
-        return "ack";
-    default:
-        return "?";
-    }
-}
 
 class Net
 {

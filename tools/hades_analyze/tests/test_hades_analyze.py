@@ -1,23 +1,13 @@
 #!/usr/bin/env python3
 """hades-analyze fixture suite (ctest label: static-analysis).
 
-Two halves:
-
-1. Rule fixtures. Every rule runs against fixture_repo/, a miniature
-   HADES tree where each rule has a violating, a clean, and a
-   suppressed case. The EXPECTED findings are declared in the fixture
-   sources themselves with `EXPECT: <rule>` comments on the exact
-   line, so the assertion is: the set of (file, line) findings equals
-   the set of EXPECT markers for that rule -- nothing missing (the
-   violating case fires), nothing extra (clean and suppressed cases
-   stay quiet).
-
-2. clang frontend walker. clang_ast_fixture.json is a hand-written
-   `-ast-dump=json` document (the container has no clang++); parsing
-   it must reproduce the known IR: delta-encoded locations,
-   parentDeclContextId method attribution, this-relative writes,
-   switch condition typing, the __range1 ranged-for protocol, and
-   CoawaitExpr coroutine detection.
+Every rule runs against fixture_repo/, a miniature HADES tree where
+each rule has a violating, a clean, and a suppressed case. The
+EXPECTED findings are declared in the fixture sources themselves with
+`EXPECT: <rule>` comments on the exact line, so the assertion is: the
+set of (file, line) findings equals the set of EXPECT markers for that
+rule -- nothing missing (the violating case fires), nothing extra
+(clean and suppressed cases stay quiet).
 """
 
 import json
@@ -34,7 +24,6 @@ EXPECT_RE = re.compile(r"EXPECT:\s*([a-z-]+)")
 
 sys.path.insert(0, REPO)
 
-from tools.hades_analyze import parse_clang  # noqa: E402
 from tools.hades_analyze.config import ALL_RULES  # noqa: E402
 
 failures = []
@@ -69,8 +58,7 @@ def run_rule(rule):
                        "findings.json")
     proc = subprocess.run(
         [sys.executable, "-m", "tools.hades_analyze",
-         "--repo", FIXTURE_REPO, "--frontend", "fallback",
-         "--rules", rule, "--quiet", "--json", out],
+         "--repo", FIXTURE_REPO, "--rules", rule, "--quiet", "--json", out],
         cwd=REPO, capture_output=True, text=True)
     with open(out, "r", encoding="utf-8") as fh:
         report = json.load(fh)
@@ -94,12 +82,6 @@ def test_rule_fixtures():
             check("%s: finding carries its rule name" % rule,
                   f["rule"] == rule, json.dumps(f))
     # Message-content spot checks (the part line numbers cannot prove).
-    _, totality = run_rule("verb-totality")
-    check("verb-totality names every missing enumerator",
-          any("Ack" in f["message"] and "RdmaWrite" in f["message"]
-              for f in totality))
-    check("verb-totality flags the hiding default:",
-          any("default:" in f["detail"] for f in totality))
     _, unordered = run_rule("unordered-iter")
     check("unordered-iter resolved the cross-file field type",
           any("unordered_map" in f["detail"] for f in unordered))
@@ -108,73 +90,9 @@ def test_rule_fixtures():
           any("not gate-covered" in f["detail"] for f in lane))
 
 
-def test_clang_walker():
-    src = os.path.join(HERE, "clang_ast_fixture.cc")
-    with open(os.path.join(HERE, "clang_ast_fixture.json"),
-              "r", encoding="utf-8") as fh:
-        ast = json.loads(fh.read().replace("__FIXTURE_FILE__", src))
-    ir = parse_clang.parse_ast_json(ast, "clang_ast_fixture.cc", src)
-
-    enums = {e.name: e for e in ir.enums}
-    check("clang: enum fx::Kind parsed", "fx::Kind" in enums)
-    if "fx::Kind" in enums:
-        check("clang: enum members in order",
-              enums["fx::Kind"].members == ["A", "B", "NumKinds"])
-
-    classes = {c.name: c for c in ir.classes}
-    check("clang: class fx::Counter parsed", "fx::Counter" in classes)
-    if "fx::Counter" in classes:
-        ci = classes["fx::Counter"]
-        fields = {f.name: f for f in ci.fields}
-        check("clang: field v typed",
-              fields.get("v") is not None
-              and fields["v"].type_spelling == "unsigned long")
-        check("clang: field decl line via delta-encoded loc",
-              fields.get("v") is not None and fields["v"].line == 18)
-        check("clang: in-class method names recorded",
-              set(ci.methods) >= {"bump", "pick", "spin", "co"})
-
-    fns = {f.name: f for f in ir.functions}
-    check("clang: out-of-line method attributed via parentDeclContextId",
-          "fx::Counter::bump" in fns)
-    bump = fns.get("fx::Counter::bump")
-    if bump:
-        check("clang: this-relative write owner class",
-              len(bump.writes) == 1
-              and bump.writes[0].field == "v"
-              and bump.writes[0].cls == "fx::Counter"
-              and bump.writes[0].kind == "modify")
-        check("clang: write line from stmt range delta",
-              bump.writes[0].line == 29)
-    pick = fns.get("fx::Counter::pick")
-    if pick:
-        check("clang: switch parsed", len(pick.switches) == 1)
-        sw = pick.switches[0]
-        check("clang: switch cond enum from qualType",
-              sw.cond_enum == "fx::Kind")
-        check("clang: case labels rendered Enum::Member",
-              sw.cases == ["Kind::A"])
-        check("clang: default: detected", sw.has_default)
-    spin = fns.get("fx::Counter::spin")
-    if spin:
-        check("clang: ranged-for parsed", len(spin.ranged_fors) == 1)
-        rf = spin.ranged_fors[0]
-        check("clang: range expr from __range1 initializer",
-              rf.range_expr == "items")
-        check("clang: range type from __range1 qualType",
-              rf.range_type == "unsigned long (&)[4]")
-        check("clang: loop body statements still walked",
-              any(v.name == "sum" for v in spin.locals))
-    co = fns.get("fx::Counter::co")
-    if co:
-        check("clang: CoawaitExpr marks the coroutine", co.is_coro)
-
-
 def main():
     print("== rule fixtures (%s)" % os.path.relpath(FIXTURE_REPO, REPO))
     test_rule_fixtures()
-    print("== clang AST walker")
-    test_clang_walker()
     if failures:
         print("\n%d check(s) FAILED:" % len(failures))
         for f in failures:
