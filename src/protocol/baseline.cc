@@ -60,47 +60,6 @@ BaselineEngine::releaseLocks(ExecCtx ctx, std::uint64_t self,
 }
 
 sim::Task
-BaselineEngine::awaitFanout(
-    std::shared_ptr<Fanout> fo,
-    std::map<NodeId, std::vector<std::size_t>> by_node,
-    std::function<void(NodeId, const std::vector<std::size_t> &)> repost)
-{
-    if (fo->pending.empty()) {
-        fo->closed = true;
-        co_return;
-    }
-    if (!faultsOn()) {
-        co_await fo->wake.wait();
-        fo->closed = true;
-        co_return;
-    }
-    // Wake on either the last reply or a resend timer; the generation
-    // counter discards timers from earlier rounds.
-    auto gen = std::make_shared<std::uint32_t>(0);
-    for (std::uint32_t round = 0;; ++round) {
-        std::uint32_t g = ++*gen;
-        sys_.kernel.schedule(resendTimeout(round), [this, fo, gen, g] {
-            if (*gen == g && !fo->closed && !fo->pending.empty())
-                fo->wake.notify(sys_.kernel);
-        });
-        co_await fo->wake.wait();
-        if (fo->pending.empty())
-            break;
-        if (round >= sys_.config.tuning.maxCommitResends) {
-            // Give up on the unresponsive nodes and fail the batch;
-            // `closed` below makes any late deliveries inert.
-            fo->anyFail = true;
-            break;
-        }
-        for (NodeId n : fo->pending) {
-            st().timeoutResends += 1;
-            repost(n, by_node.at(n));
-        }
-    }
-    fo->closed = true;
-}
-
-sim::Task
 BaselineEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
                         bool &committed)
 {
@@ -387,7 +346,9 @@ BaselineEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
                 co_await core.occupy(cycles(costs.rdmaPostCycles));
                 post_batch(node, idx_list);
             }
-            co_await awaitFanout(fo, by_node, post_batch);
+            co_await awaitFanout(fo, [&](NodeId n) {
+                post_batch(n, by_node.at(n));
+            });
             co_await core.occupy(
                 cycles(std::int64_t(costs.rdmaPollCycles) *
                        std::int64_t(by_node.size())));
@@ -505,7 +466,9 @@ BaselineEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
                         });
                 }
             }
-            co_await awaitFanout(fo, by_node, post_batch);
+            co_await awaitFanout(fo, [&](NodeId n) {
+                post_batch(n, by_node.at(n));
+            });
             std::uint64_t remote_reads = 0;
             for (const auto &r : read_set)
                 remote_reads += r.home != ctx.node ? 1 : 0;

@@ -17,7 +17,6 @@
 #define HADES_PROTOCOL_BASELINE_HH_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -82,21 +81,6 @@ class BaselineEngine : public TxnEngine
      *  @p self is the (possibly epoch-tagged) lock-owner id. */
     void releaseLocks(ExecCtx ctx, std::uint64_t self,
                       std::vector<WriteEntry> &writes);
-
-    /**
-     * Await one reply per node of a lock/validation fan-out. Fault-free
-     * this reduces to a single wait for the last reply, reproducing the
-     * CountdownLatch event sequence exactly. With faults on it re-posts
-     * the batch to unresponsive nodes on a capped-exponential timer and
-     * fails the batch (Fanout::anyFail) after
-     * ClusterConfig::maxCommitResends rounds. Fanout::closed is set on
-     * every exit so late deliveries of stale batches are discarded.
-     */
-    sim::Task awaitFanout(
-        std::shared_ptr<Fanout> fo,
-        std::map<NodeId, std::vector<std::size_t>> by_node,
-        std::function<void(NodeId, const std::vector<std::size_t> &)>
-            repost);
 
     /** Recovery only: control blocks of in-flight attempts, keyed by
      *  the epoch-tagged lock-owner id and registered with the

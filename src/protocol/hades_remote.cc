@@ -286,8 +286,8 @@ HadesRemoteEngine::squashRemoteConflicts(
     auto &node = sys_.node(ctx.node);
     const std::uint64_t id = at->id;
 
-    // Snapshot the victims before squashing any: squashing a remote
-    // victim awaits a network round trip, and the NIC's remote-filter
+    // Snapshot the victims before squashing any: squashing remote
+    // victims awaits their replies, and the NIC's remote-filter
     // map mutates while this frame is suspended (new filters install,
     // cleanup messages erase entries), so iterating it across awaits
     // would be invalid. The filters' exact shadow sets double as the
@@ -308,18 +308,17 @@ HadesRemoteEngine::squashRemoteConflicts(
     std::sort(victims.begin(), victims.end());
     victims.erase(std::unique(victims.begin(), victims.end()),
                   victims.end());
-    for (std::uint64_t k : victims) {
-        auto outcome = SquashOutcome::NotFound;
-        co_await squashVictim(ctx.node, k, SquashReason::LazyConflict,
-                              outcome);
-        if (outcome == SquashOutcome::Uncommittable) {
-            // The victim is past its serialization point; the only
-            // safe resolution is to squash ourselves.
-            sys_.routerFor(id).squash(sys_.kernel, id,
-                                      SquashReason::LazyConflict);
-        }
-        checkSquash(*at); // throws if we squashed ourselves above
+    bool uncommittable = false;
+    co_await squashVictims(ctx.node, std::move(victims),
+                           SquashReason::LazyConflict, uncommittable);
+    if (uncommittable) {
+        // A victim is past its serialization point (or its coordinator
+        // never answered); the only safe resolution is to squash
+        // ourselves.
+        sys_.routerFor(id).squash(sys_.kernel, id,
+                                  SquashReason::LazyConflict);
     }
+    checkSquash(*at);
     co_await coreOf(ctx).occupy(
         cycles(2 * std::int64_t(local_write_lines.size()) + 10));
     checkSquash(*at);
@@ -587,6 +586,14 @@ sim::DetachedTask
 HadesRemoteEngine::spawnIntendToCommit(NodeId y, RemotePtr at,
                                        std::vector<Addr> write_lines)
 {
+    // One handler per (node, attempt) at a time. A duplicated or resent
+    // delivery (faults only) that lands while an earlier one is still
+    // working -- say, awaiting its victims' squashes -- must not act:
+    // finding the lock held, it would re-ack before the victims are
+    // squashed. The earlier handler acks when it is done.
+    const std::uint64_t id = at->id;
+    if (!itcBusy_[y].insert(id).second)
+        co_return;
     try {
         co_await handleIntendToCommit(y, at, std::move(write_lines));
     } catch (const sim::NodeDead &) {
@@ -595,6 +602,7 @@ HadesRemoteEngine::spawnIntendToCommit(NodeId y, RemotePtr at,
     } catch (const sim::SerialRerunNeeded &) {
         // The rerun flag is already set; the run is being abandoned.
     }
+    itcBusy_[y].erase(id);
 }
 
 sim::Task
@@ -615,12 +623,12 @@ HadesRemoteEngine::handleIntendToCommit(NodeId y, RemotePtr at,
         co_return;
 
     // Idempotency guard (duplicated or timeout-resent delivery, both
-    // faults-only): if this node's directory is already partially
-    // locked for the committer -- or the committer is already past its
-    // serialization point -- re-acquiring would corrupt the Locking
-    // Buffer bank. Just confirm with another Ack; the committer
-    // dedupes by node. The held() probe is y-local and so runs
-    // unconditionally.
+    // faults-only, after the first handler finished): if this node's
+    // directory is already partially locked for the committer -- or
+    // the committer is already past its serialization point --
+    // re-acquiring would corrupt the Locking Buffer bank. Just confirm
+    // with another Ack; the committer dedupes by node. The held()
+    // probe is y-local and so runs unconditionally.
     if (ynode.lockBank.held(id) ||
         (faultsOn() && at->ctrl.uncommittable)) {
         co_await sim::Delay{kernel, sys_.cycles(20)};
@@ -655,9 +663,9 @@ HadesRemoteEngine::handleIntendToCommit(NodeId y, RemotePtr at,
             // committers hold their local buffers while waiting here,
             // so unbounded retries could form a distributed waits-for
             // cycle between exhausted banks.
-            auto outcome = SquashOutcome::NotFound;
-            co_await squashVictim(y, id, SquashReason::LockFailure,
-                                  outcome);
+            bool ignored = false;
+            co_await squashVictims(y, std::vector<std::uint64_t>(1, id),
+                                   SquashReason::LockFailure, ignored);
             co_return;
         }
         co_await sim::Delay{kernel, ns(200)};
@@ -668,20 +676,13 @@ HadesRemoteEngine::handleIntendToCommit(NodeId y, RemotePtr at,
         // signal (the first delivery materialized them above).
         if (!ynode.nic.hasRemoteFilters(id))
             co_return;
-        // A concurrently-delivered duplicate (faults-only) may have
-        // acquired for the committer while we slept: fall back to the
-        // idempotent re-ack instead of double-registering.
-        if (ynode.lockBank.held(id)) {
-            postCommitAck(at, y);
-            co_return;
-        }
     }
     if (sys_.audit)
         sys_.audit->noteLockAcquire(id);
 
     // Step 2 (remote): conflicts on y's data with any transaction.
     // Snapshot the victims before squashing any (remote squashes await
-    // round trips; y's NIC filter map and y's local-transaction
+    // replies; y's NIC filter map and y's local-transaction
     // registry both mutate while this frame is suspended). Probe truth
     // comes from y-owned state only: the filters' exact shadow sets
     // for remote transactions, the local path's own state for y-homed
@@ -703,23 +704,16 @@ HadesRemoteEngine::handleIntendToCommit(NodeId y, RemotePtr at,
     std::sort(victims.begin(), victims.end());
     victims.erase(std::unique(victims.begin(), victims.end()),
                   victims.end());
-    bool self_squashed = false;
-    for (std::uint64_t k : victims) {
-        auto outcome = SquashOutcome::NotFound;
-        co_await squashVictim(y, k, SquashReason::LazyConflict,
-                              outcome);
-        if (outcome == SquashOutcome::Uncommittable) {
-            // The victim is past its serialization point; the
-            // conservative ordering rule squashes the committer
-            // instead.
-            self_squashed = true;
-            break;
-        }
-    }
-    if (self_squashed) {
-        auto outcome = SquashOutcome::NotFound;
-        co_await squashVictim(y, id, SquashReason::LazyConflict,
-                              outcome);
+    bool uncommittable = false;
+    co_await squashVictims(y, std::move(victims),
+                           SquashReason::LazyConflict, uncommittable);
+    if (uncommittable) {
+        // A victim is past its serialization point (or its coordinator
+        // never answered); the conservative ordering rule squashes the
+        // committer instead.
+        bool ignored = false;
+        co_await squashVictims(y, std::vector<std::uint64_t>(1, id),
+                               SquashReason::LazyConflict, ignored);
         ynode.lockBank.release(id);
         co_return;
     }

@@ -116,7 +116,7 @@ enum class SquashOutcome
 };
 
 /** Delivers squashes to registered attempts by packed GlobalTxId. */
-// hades-analyze: lane-escape-ok (per-node shard indexed by coordinator; engines reach a foreign coordinator's shard only from message handlers already executing on that coordinator's lane -- see TxnEngine::squashVictim)
+// hades-analyze: lane-escape-ok (per-node shard indexed by coordinator; engines reach a foreign coordinator's shard only from message handlers already executing on that coordinator's lane -- see TxnEngine::squashVictims)
 class SquashRouter
 {
   public:

@@ -303,60 +303,6 @@ class AutoResetEvent
     std::coroutine_handle<> waiter_ = nullptr;
 };
 
-/**
- * Counts down from N completions; used for fan-out protocol steps such as
- * "receive Acks from all the remote nodes involved in the transaction".
- */
-class CountdownLatch
-{
-  public:
-    explicit CountdownLatch(std::uint32_t count = 0) : remaining_(count) {}
-
-    void arm(std::uint32_t count)
-    {
-        always_assert(waiter_ == nullptr, "arm with pending waiter");
-        remaining_ = count;
-    }
-
-    std::uint32_t remaining() const { return remaining_; }
-
-    /** One event arrived; wakes the waiter when the count hits zero. */
-    void
-    countDown(Kernel &kernel)
-    {
-        always_assert(remaining_ > 0, "countDown below zero");
-        if (--remaining_ == 0 && waiter_) {
-            auto h = std::exchange(waiter_, nullptr);
-            kernel.schedule(0, [h] { h.resume(); });
-        }
-    }
-
-    auto
-    wait()
-    {
-        struct Awaiter
-        {
-            CountdownLatch &l;
-            bool await_ready() const noexcept { return l.remaining_ == 0; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                always_assert(l.waiter_ == nullptr,
-                              "CountdownLatch supports a single waiter");
-                l.waiter_ = h;
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this};
-    }
-
-  private:
-    std::uint32_t remaining_;
-    std::coroutine_handle<> waiter_ = nullptr;
-};
-
 } // namespace hades::sim
 
 #endif // HADES_SIM_TASK_HH_

@@ -509,10 +509,97 @@ TEST(AllEngines, StatsPhasesPopulated)
         EXPECT_EQ(st.execPhase.count(), 10u) << engine->name();
         EXPECT_GT(st.execPhase.mean(), 0.0) << engine->name();
         EXPECT_GT(st.validationPhase.mean(), 0.0) << engine->name();
-        if (kind == EngineKind::Baseline)
+        if (kind == EngineKind::Baseline) {
             EXPECT_GT(st.commitPhase.mean(), 0.0);
+        }
         EXPECT_EQ(st.latency.count(), 10u);
     }
+}
+
+/** A TxnEngine that runs no transactions; it exposes the Squash
+ *  fan-out so a test can drive it on hand-registered victims. */
+class SquashFanoutProbe : public TxnEngine
+{
+  public:
+    using TxnEngine::TxnEngine;
+
+    EngineKind kind() const override { return EngineKind::Hades; }
+    std::uint32_t recordBytes(std::uint32_t b) const override { return b; }
+
+    sim::DetachedTask
+    squashAll(NodeId from, std::vector<std::uint64_t> victims,
+              bool &uncommittable, Tick &done_at)
+    {
+        co_await squashVictims(from, std::move(victims),
+                               SquashReason::LazyConflict, uncommittable);
+        done_at = sys_.kernel.now();
+    }
+
+  protected:
+    sim::Task
+    attempt(ExecCtx, const txn::TxnProgram &, bool &) override
+    {
+        co_return;
+    }
+    sim::Task
+    attemptPessimistic(ExecCtx, const txn::TxnProgram &) override
+    {
+        co_return;
+    }
+};
+
+/** Squash one victim coordinated on each of nodes 1..3 on behalf of
+ *  node 0; victim i is uncommittable iff @p uncommittable[i]. */
+struct SquashFanoutRun
+{
+    std::vector<protocol::AttemptControl> victims;
+    bool uncommittable = false;
+    Tick doneAt = -1;
+    Tick roundTrip = 0;
+};
+
+SquashFanoutRun
+runSquashFanout(std::vector<bool> uncommittable)
+{
+    auto cfg = smallCluster(4);
+    System sys(cfg, 64, cfg.recordPayloadBytes);
+    SquashFanoutProbe engine(sys);
+    SquashFanoutRun run;
+    run.victims.resize(3);
+    std::vector<std::uint64_t> ids;
+    for (NodeId n = 1; n <= 3; ++n) {
+        const std::uint64_t id = ExecCtx{n, 0, 0}.packed();
+        run.victims[n - 1].uncommittable = uncommittable[n - 1];
+        sys.routerFor(id).add(id, &run.victims[n - 1]);
+        ids.push_back(id);
+    }
+    engine.squashAll(0, ids, run.uncommittable, run.doneAt);
+    EXPECT_TRUE(sys.kernel.run());
+    run.roundTrip = cfg.netRoundTrip + 2 * cfg.nicProcessing;
+    return run;
+}
+
+TEST(SquashFanout, SquashesEveryVictimInOneRoundTrip)
+{
+    const auto run = runSquashFanout({false, false, false});
+    for (const auto &v : run.victims)
+        EXPECT_TRUE(v.squashRequested);
+    EXPECT_FALSE(run.uncommittable);
+    // All three Squash posts leave at once: one round trip plus the
+    // serialization of four small messages, far below the three round
+    // trips that squashing the victims in turn would take.
+    EXPECT_GE(run.doneAt, run.roundTrip);
+    EXPECT_LT(run.doneAt, run.roundTrip + ns(20));
+}
+
+TEST(SquashFanout, UncommittableVictimSetsTheOutFlag)
+{
+    const auto run = runSquashFanout({false, true, false});
+    EXPECT_TRUE(run.victims[0].squashRequested);
+    EXPECT_FALSE(run.victims[1].squashRequested);
+    EXPECT_TRUE(run.victims[2].squashRequested);
+    EXPECT_TRUE(run.uncommittable);
+    EXPECT_LT(run.doneAt, run.roundTrip + ns(20));
 }
 
 } // namespace

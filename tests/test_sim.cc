@@ -285,36 +285,6 @@ TEST(Task, CompletionAlreadyDoneDoesNotSuspend)
     EXPECT_EQ(resumed_at, 0);
 }
 
-DetachedTask
-waitLatch(Kernel &k, CountdownLatch &l, Tick &resumed_at)
-{
-    co_await l.wait();
-    resumed_at = k.now();
-}
-
-TEST(Task, CountdownLatchWaitsForAll)
-{
-    Kernel k;
-    CountdownLatch latch{3};
-    Tick resumed_at = -1;
-    waitLatch(k, latch, resumed_at);
-    k.schedule(10, [&] { latch.countDown(k); });
-    k.schedule(20, [&] { latch.countDown(k); });
-    k.schedule(30, [&] { latch.countDown(k); });
-    k.run();
-    EXPECT_EQ(resumed_at, 30);
-}
-
-TEST(Task, CountdownLatchZeroIsImmediate)
-{
-    Kernel k;
-    CountdownLatch latch{0};
-    Tick resumed_at = -1;
-    waitLatch(k, latch, resumed_at);
-    k.run();
-    EXPECT_EQ(resumed_at, 0);
-}
-
 // --- compute resource -------------------------------------------------------
 
 DetachedTask
