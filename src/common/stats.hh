@@ -67,11 +67,10 @@ class Accumulator
  * fixed memory footprint -- the same scheme HdrHistogram uses.
  *
  * Values below kSubBuckets get one exact bucket each. Above that, each
- * power-of-two decade is split into kSubBuckets / 2 linear buckets: the
- * sub-bucket index keeps the value's leading bit, so it always lands in
- * [16, 32). A quantile is reported as the lower bound of its bucket, so
- * it underestimates the true value by a relative error below 1/16 (not
- * 1/kSubBuckets).
+ * power-of-two decade is split into kSubBuckets linear buckets, indexed
+ * by the kSubBuckets bits below the value's leading bit. A quantile is
+ * reported as the lower bound of its bucket, so it underestimates the
+ * true value by a relative error below 1/kSubBuckets = 1/32.
  */
 class Histogram
 {
@@ -136,7 +135,7 @@ class Histogram
         if (v < kSubBuckets)
             return static_cast<std::size_t>(v);
         int msb = 63 - std::countl_zero(v);
-        int decade = msb - 4; // log2(kSubBuckets) - 1
+        int decade = msb - 5; // log2(kSubBuckets)
         auto sub =
             static_cast<std::size_t>((v >> decade) & (kSubBuckets - 1));
         auto idx = static_cast<std::size_t>(decade) * kSubBuckets + sub +
@@ -152,10 +151,9 @@ class Histogram
         idx -= kSubBuckets;
         auto decade = static_cast<int>(idx / kSubBuckets);
         auto sub = idx % kSubBuckets;
-        // sub = (v >> decade) & 31 still carries the leading bit of v
-        // (it always falls in [16, 32)), so the representative is just
-        // sub scaled back up.
-        return std::uint64_t{sub} << decade;
+        // sub = (v >> decade) & 31 dropped the leading bit of v; put it
+        // back before scaling up.
+        return (kSubBuckets + std::uint64_t{sub}) << decade;
     }
 
     Accumulator acc_;
