@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -86,6 +87,49 @@ reportRun(benchmark::State &state, const std::string &key,
     state.counters["mean_us"] = res.meanLatencyUs;
     state.counters["p95_us"] = res.p95LatencyUs;
     state.counters["squash_rate"] = res.squashRate;
+}
+
+/** One workload's gains over Baseline (higher is better): throughput
+ *  ratios for Figure 9, inverted mean-latency ratios for Figure 10. */
+struct ShapeRow
+{
+    std::string workload;
+    double hybrid = 0; //!< HADES-H gain over Baseline
+    double hades = 0;  //!< HADES gain over Baseline
+};
+
+/**
+ * The paper's shape for Figures 9 and 10: on every workload HADES >=
+ * HADES-H >= Baseline, and both geomean gains exceed 1. Prints each
+ * violation and returns false if there is one; the figure binaries
+ * then exit non-zero, so a model change that silently breaks the
+ * shape fails their smoke ctests.
+ */
+inline bool
+paperShapeHolds(const std::vector<ShapeRow> &rows)
+{
+    bool ok = true;
+    double geo_hybrid = 0, geo_hades = 0;
+    for (const auto &r : rows) {
+        if (!(r.hades >= r.hybrid && r.hybrid >= 1.0)) {
+            std::printf("SHAPE VIOLATION %s: want HADES >= HADES-H >= "
+                        "Baseline, got gains %.2f (HADES-H) / %.2f "
+                        "(HADES)\n",
+                        r.workload.c_str(), r.hybrid, r.hades);
+            ok = false;
+        }
+        geo_hybrid += std::log(r.hybrid);
+        geo_hades += std::log(r.hades);
+    }
+    geo_hybrid = std::exp(geo_hybrid / double(rows.size()));
+    geo_hades = std::exp(geo_hades / double(rows.size()));
+    if (!(geo_hybrid > 1.0 && geo_hades > 1.0)) {
+        std::printf("SHAPE VIOLATION geomean: want both gains > 1, got "
+                    "%.2f (HADES-H) / %.2f (HADES)\n",
+                    geo_hybrid, geo_hades);
+        ok = false;
+    }
+    return ok;
 }
 
 /** Print a header for the summary table the paper's figure shows. */

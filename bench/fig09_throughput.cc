@@ -7,6 +7,8 @@
  * Paper shape: both HADES variants beat Baseline on every workload
  * (averages 2.7x for HADES and 2.3x for HADES-H), HADES >= HADES-H,
  * with the largest gains on TPC-C and the write-intensive workloads.
+ * The binary exits non-zero when the per-workload order or the
+ * geomeans break that shape (paperShapeHolds).
  */
 
 #include "bench_util.hh"
@@ -75,6 +77,7 @@ main(int argc, char **argv)
                 "Baseline", "HADES-H", "HADES", "H-H/B", "HADES/B");
     double geo_h = 0, geo_hh = 0;
     int n = 0;
+    std::vector<ShapeRow> shape;
     for (const auto &entry : figure9Workloads()) {
         double tps[3] = {};
         int i = 0;
@@ -88,6 +91,8 @@ main(int argc, char **argv)
         std::printf("%-12s %12.0f %12.0f %12.0f | %8.2f %8.2f\n",
                     entryLabel(entry).c_str(), tps[0], tps[1], tps[2],
                     tps[1] / tps[0], tps[2] / tps[0]);
+        shape.push_back({entryLabel(entry), tps[1] / tps[0],
+                         tps[2] / tps[0]});
         geo_hh += std::log(tps[1] / tps[0]);
         geo_h += std::log(tps[2] / tps[0]);
         ++n;
@@ -96,7 +101,8 @@ main(int argc, char **argv)
                 "(paper: 2.3x / 2.7x)\n",
                 "geomean", "", "", "", std::exp(geo_hh / n),
                 std::exp(geo_h / n));
+    const bool shape_ok = paperShapeHolds(shape);
     sweep.finish("fig09_throughput");
     benchmark::Shutdown();
-    return 0;
+    return shape_ok ? 0 : 1;
 }

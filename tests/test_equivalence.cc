@@ -274,9 +274,8 @@ class ConservationSweep : public ::testing::TestWithParam<SweepCase>
 {};
 
 sim::DetachedTask
-transferLoop(System &sys, TxnEngine &engine, ExecCtx ctx,
-             std::uint64_t records, std::uint64_t seed,
-             std::uint64_t txns)
+transferLoop(TxnEngine &engine, ExecCtx ctx, std::uint64_t records,
+             std::uint64_t seed, std::uint64_t txns)
 {
     Rng rng{seed};
     for (std::uint64_t i = 0; i < txns; ++i) {
@@ -331,8 +330,8 @@ TEST_P(ConservationSweep, TotalBalancePreserved)
     for (NodeId n = 0; n < cfg.numNodes; ++n)
         for (CoreId c = 0; c < cfg.coresPerNode; ++c)
             for (SlotId s = 0; s < cfg.slotsPerCore; ++s) {
-                transferLoop(sys, *engine, ExecCtx{n, c, s}, kRecords,
-                             seed++, kTxns);
+                transferLoop(*engine, ExecCtx{n, c, s}, kRecords, seed++,
+                             kTxns);
                 ++contexts;
             }
     ASSERT_TRUE(sys.kernel.run());
